@@ -124,7 +124,7 @@ def check_deep_cell(m: int, p: int, best_value: float, gammas, betas, dense: flo
 def check_depth_monotone(m: int, p: int, best_value: float, prev_gammas, prev_betas):
     """P(m, p) >= P(m, p-1): the p-1 result padded with a zero layer is a floor.
 
-    Kept failing at (7, 5) with the default optimizer seed: the portfolio
+    Kept failing at (7, 5) at the acceptance suite's master seed: the portfolio
     under-converges there.
     """
     floor = oracle.success_prob(range(1, m + 1), tuple(prev_gammas) + (0.0,), tuple(prev_betas) + (0.0,))

@@ -22,7 +22,6 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--optimizer-seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--t0", type=float, required=True, help="CLOCK_MONOTONIC before the process was started")
     parser.add_argument("--src", required=True)
@@ -40,8 +39,8 @@ def main() -> int:
             raise SystemExit(f"imported {qaoa_linear.__file__}, not the program under {args.src}")
         import workloads
 
-        workload = workloads.WORKLOADS[args.workload](args.seed, args.optimizer_seed)
-        raw_setup_s = time.clock_gettime(time.CLOCK_MONOTONIC) - args.t0 - setup_probe.busy
+        workload = workloads.WORKLOADS[args.workload](args.seed)
+        raw_setup_s = time.clock_gettime(time.CLOCK_MONOTONIC) - args.t0 - workload.own_s
     setup_s = raw_setup_s / setup_probe.slowness()
     if args.setup_only:
         print(json.dumps({"setup_s": setup_s, "raw_setup_s": raw_setup_s}))
@@ -54,20 +53,20 @@ def main() -> int:
         import tracing
 
         kernels = layers.time_kernels(args.seed)
-        tracer = tracing.Tracer(probe.clock)
+        tracer = tracing.Tracer()
         tracer.install()
 
     rounds, slowness, found, best = [], [], [], []
     start = time.perf_counter()
     while True:
         with probe:
-            t = probe.clock()
+            t = time.perf_counter()
             if tracer is None:
                 out = workload.run()
             else:
                 with tracer.span("round"):
                     out = workload.run()
-            rounds.append(probe.clock() - t)
+            rounds.append(time.perf_counter() - t)
         slowness.append(probe.slowness())
         found += workload.check(out)
         best = workload.best_probs(out)
@@ -75,6 +74,7 @@ def main() -> int:
             break
 
     per_round = len(found) // len(rounds)
+    peak_kib = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     result = {
         "setup_s": setup_s,
         "raw_setup_s": raw_setup_s,
@@ -82,7 +82,7 @@ def main() -> int:
         "slowness": slowness,
         "raw_wall_s": statistics.median(rounds),
         "wall_s": statistics.median(r / k for r, k in zip(rounds, slowness)),
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mib": peak_kib / 1024.0,
         "best_prob_mean": statistics.fmean(best),
         "attempted": len(found),
         "failed": sum(not c.ok for c in found),
@@ -90,7 +90,7 @@ def main() -> int:
         "checks": {c.name: [c.ok, c.detail] for c in found[-per_round:]},
     }
     if tracer is not None:
-        layers.run_probe(tracer, args.optimizer_seed, *layers.needs(tracer.spans))
+        layers.run_probe(tracer, *layers.needs(tracer.spans))
         tracer.uninstall()
         result["layers"] = {**kernels, **layers.span_metrics(tracer.spans)}
         if args.trace_file:

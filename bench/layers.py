@@ -61,11 +61,11 @@ def time_kernels(seed: int) -> dict:
     }
 
 
-def run_probe(tracer, optimizer_seed: int, needs_table: bool, needs_analysis: bool):
+def run_probe(tracer, needs_table: bool, needs_analysis: bool):
     """Small fixed calls into the layers the workload did not reach."""
     with tracer.span("probe"):
         if needs_table:
-            argv = ["table", "--M", "3", "--P", "2", "--budget", "300", "--restarts", "2", "--seed", str(optimizer_seed)]
+            argv = ["table", "--M", "3", "--P", "2", "--budget", "300", "--restarts", "2", "--seed", "1"]
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli.main(argv) != 0:
                     raise RuntimeError(f"probe {' '.join(argv)} failed")

@@ -29,7 +29,7 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 OUT = BENCH / "out"
 WORKLOADS = ("table", "deep-cells", "analysis")
-SETUP_SAMPLES = 9
+SETUP_SAMPLES = 13
 # Every run ends within 180 s; a child still running at this point is killed.
 RUN_LIMIT_S = 170.0
 
@@ -48,7 +48,7 @@ class Child:
         t0 = time.clock_gettime(time.CLOCK_MONOTONIC)
         cmd = [
             sys.executable, str(BENCH / "child.py"), "--workload", a.workload, "--seed", str(a.seed),
-            "--optimizer-seed", str(a.optimizer_seed), "--seconds", str(a.seconds), "--t0", repr(t0),
+            "--seconds", str(a.seconds), "--t0", repr(t0),
             "--src", str(SRC), *extra,
         ]
         proc = subprocess.run(
@@ -66,10 +66,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True, help="seed of the workload's inputs")
     parser.add_argument("--seconds", type=int, required=True, help="rounds repeat until this long has passed")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--optimizer-seed", type=int, default=1,
-        help="master seed of the table's and deep cells' optimizers (default 1, the acceptance suite's)",
-    )
     args = parser.parse_args(argv)
     # On SIGTERM, leave through SystemExit so that subprocess.run kills and
     # reaps the running child.

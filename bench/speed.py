@@ -5,8 +5,13 @@ seconds and drifts over minutes (a fixed loop here took anywhere from 0.07
 to 0.15 s).  Every round's wall time therefore comes with a measure of how
 fast the host ran during it: every period a SIGALRM handler times
 `reference`, a fixed loop of scalar Python arithmetic like the program's
-hot loops.  `clock()` excludes the handler's own time, so rounds
-and spans timed with it cover only the program's work.
+hot loops.
+
+The loop is timed by the CPU time of the thread that runs it, so time
+spent waiting is not counted: waiting for the GIL while other threads of
+the program hold it, or for a CPU that the program's worker processes
+take.  The program can then slow a sample only through the core itself
+(shared caches, a busy sibling thread of the core).
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import signal
 import statistics
 import time
 
-# Time of one step of `reference` on this 2-CPU host at its usual speed;
-# wall times are rescaled to it.
+# CPU time of one step of `reference` on this 2-CPU host at its usual
+# speed; wall times are rescaled to it.
 NOMINAL_STEP_S = 2.0e-3 / 6000
 
 
@@ -35,18 +40,12 @@ class SpeedProbe:
     def __init__(self, period_s: float = 0.1, size: int = 6000):
         self.period_s = period_s
         self.size = size
-        self.busy = 0.0
         self.samples: list[float] = []
 
-    def clock(self) -> float:
-        return time.perf_counter() - self.busy
-
     def _tick(self, signum, frame):
-        t = time.perf_counter()
+        t = time.thread_time()
         reference(self.size)
-        dt = time.perf_counter() - t
-        self.samples.append(dt)
-        self.busy += dt
+        self.samples.append(time.thread_time() - t)
 
     def __enter__(self):
         self.samples = []

@@ -63,8 +63,7 @@ TRACED = (
 
 
 class Tracer:
-    def __init__(self, clock=time.perf_counter):
-        self.clock = clock
+    def __init__(self):
         self.spans: list[dict] = []
         self._stack: list[int] = []
         self._saved: list[tuple[object, str, object]] = []
@@ -83,7 +82,7 @@ class Tracer:
             "id": len(self.spans),
             "name": name,
             "parent": self._stack[-1] if self._stack else None,
-            "start": self.clock(),
+            "start": time.perf_counter(),
             "end": None,
             "attrs": attrs,
         }
@@ -92,7 +91,7 @@ class Tracer:
         return record
 
     def _close(self, record):
-        record["end"] = self.clock()
+        record["end"] = time.perf_counter()
         self._stack.pop()
 
     def _wrap(self, fn, name, hook):
