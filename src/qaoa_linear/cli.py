@@ -173,10 +173,6 @@ def _parse_int(raw: str) -> int:
         raise UsageError(f"expected an integer, got {raw!r}") from None
 
 
-def _parse_float(raw: str):
-    return parse_angle(raw)
-
-
 def _resolve_model(res: _Resolver, ns) -> LinearIsing:
     model_text = res.get("model", getattr(ns, "model", None), None)
     m_value = res.get("m", getattr(ns, "m", None), None, parse=_parse_int)

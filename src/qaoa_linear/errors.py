@@ -8,8 +8,9 @@ class QaoaLinearError(Exception):
 class ResourceLimitError(QaoaLinearError):
     """A request would exceed a configured resource cap.
 
-    Raised by the dense statevector simulator when the qubit count is
-    above the allowed maximum, before any allocation happens.
+    Raised before any allocation happens: by the dense statevector
+    simulator when the qubit count is above the allowed maximum, and by
+    the sampling harness when runs times qubits is above its cap.
     """
 
 
@@ -17,5 +18,6 @@ class DegenerateProbabilityError(QaoaLinearError):
     """A success probability is too small to be useful.
 
     Raised by the sampling harness when the expected number of trials
-    would be astronomically large (probability below 1e-9).
+    would be astronomically large (probability below 1e-9), and by
+    prob_opt_replicated when the replicated probability underflows.
     """

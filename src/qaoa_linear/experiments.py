@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateProbabilityError
+from .errors import DegenerateProbabilityError, ResourceLimitError
 from .gates import bit_amplitudes
 from .ising import LinearIsing, consecutive, optimal_bits
 from .optimizers import OptimizerSpec, default_portfolio, portfolio_maximize
@@ -22,6 +22,11 @@ from .probability import QaoaParams, prob_opt
 # Sampling refuses below this; expected trial counts past 1e9 are not
 # experiments, they are hangs.
 MIN_SAMPLING_PROB = 1e-9
+
+# Sampling refuses runs * n above this before it allocates: each step of
+# the per-preparation path draws an (active runs x n) matrix of uniforms,
+# 128 MiB of float64 at the cap.
+MAX_SAMPLING_DRAWS = 1 << 24
 
 # Above this expected trial count the per-preparation simulation switches
 # to direct draws from the implied trial-count law (same distribution).
@@ -121,10 +126,16 @@ def sample_until_optimum(
     single-qubit distribution; a run counts preparations until all bits
     are optimal at once.  When the expected count exceeds 1e4 the trial
     counts are drawn directly from the implied distribution instead
-    (identical law, bounded cost).  Refuses probabilities below 1e-9.
+    (identical law, bounded cost).  Refuses probabilities below 1e-9
+    and, with ResourceLimitError, runs * n above MAX_SAMPLING_DRAWS.
     """
     if not isinstance(runs, int) or runs < 1:
         raise ValueError(f"runs must be a positive integer, got {runs!r}")
+    if runs * model.n > MAX_SAMPLING_DRAWS:
+        raise ResourceLimitError(
+            f"{runs} runs on {model.n} qubits need {runs * model.n} draws per step; "
+            f"the cap is {MAX_SAMPLING_DRAWS}"
+        )
     bits = optimal_bits(model)
     per_qubit = []
     for a, bit in zip(model.coeffs, bits):

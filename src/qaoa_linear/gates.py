@@ -71,8 +71,8 @@ def bit_amplitudes(a_coeff: float, gammas, betas) -> tuple[complex, complex]:
     """Amplitudes (<0|psi>, <1|psi>) for one qubit with field coefficient a_coeff.
 
     Evolves |+> through p layers of rz(2*gamma_j*a_coeff) then rx(2*beta_j).
-    Pure scalar arithmetic; this is the hot path for the sequential
-    optimizers, so no numpy here.
+    Pure scalar arithmetic.  optimizers._lockstep_objective repeats these
+    float operations on arrays, so a change here must be made there too.
     """
     a = float(a_coeff)
     if not math.isfinite(a) or a == 0.0:

@@ -6,11 +6,19 @@ random search.  All draw from counter-based Philox streams keyed by
 (seed, method, restart), so results are bitwise reproducible and a run
 with a smaller budget is an exact prefix of a longer run with the same
 seed.  Budgets count objective evaluations, nothing else.
+
+Nelder-Mead and annealing propose one point at a time.  Each of their
+restarts is a generator that yields the point it wants scored and
+receives its value, and all restarts of one method advance in lockstep:
+one batched objective call scores the pending point of every restart.
+Each restart keeps its own stream, budget and running best, and the
+batched objective repeats the float operations of the scalar recurrence
+in gates.bit_amplitudes, so the results are bit for bit those of running
+the restarts one after another.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,32 +127,49 @@ def _make_rng(seed: int, method_id: int, restart: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _scalar_objective(model: LinearIsing, p: int):
-    """Inlined product-formula evaluation; semantics match prob_opt.
+# Signs that fold CPython's complex products into two real products per
+# step; see _lockstep_objective.  Rows: real, imaginary parts; columns:
+# amplitudes v0, v1.
+_TURN_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])[:, :, None, None]
+_MIX_SIGNS = np.array([[1.0, 1.0], [-1.0, -1.0]])[:, :, None, None]
 
-    The sequential methods call this millions of times, so the kernel
-    avoids dataclass construction and revalidation on every point.
+
+def _lockstep_objective(model: LinearIsing, p: int):
+    """prob_opt over a (batch, 2p) array of points, bit for bit.
+
+    Repeats the float operations of gates.bit_amplitudes on real arrays,
+    since numpy's complex multiply rounds differently from CPython's.
+    u[part, amplitude, qubit, point] holds the real and imaginary parts
+    of (v0, v1).  Per layer, with t = -gamma*a:
+
+        v0 *= e^{it}, v1 *= e^{-it}:  u*cos t + u[::-1] * (sin t * _TURN_SIGNS)
+        (c v0 - i s v1, c v1 - i s v0):  u*c + u[::-1, ::-1] * (s * _MIX_SIGNS)
+
+    which are CPython's complex products term by term: a sign folded into
+    a factor and the order of two summands change no bits.  np.cos and
+    np.sin match math.cos and math.sin, and the product over qubits
+    reduces axis 0 in qubit order, as the scalar loop does.
     """
-    coeffs = model.coeffs
-    bits = optimal_bits(model)
+    coeffs = np.array(model.coeffs)[:, None]
+    qubits = np.arange(model.n)
+    bits = np.array(optimal_bits(model))
 
-    def f(x) -> float:
-        total = 1.0
-        for a, bit in zip(coeffs, bits):
-            v0 = complex(SQRT_HALF)
-            v1 = complex(SQRT_HALF)
-            for j in range(p):
-                ph = cmath.exp(-1j * x[j] * a)
-                v0 *= ph
-                v1 *= ph.conjugate()
-                c = math.cos(x[p + j])
-                s = math.sin(x[p + j])
-                v0, v1 = c * v0 - 1j * s * v1, -1j * s * v0 + c * v1
-            v = v0 if bit == 0 else v1
-            total *= v.real * v.real + v.imag * v.imag
-        return total
+    def fbatch(xs: np.ndarray) -> np.ndarray:
+        t = -(xs[:, :p].T[:, None, :] * coeffs)  # (layer, qubit, point)
+        turn_cos = np.cos(t)[:, None, None]
+        turn_sin = np.sin(t)[:, None, None] * _TURN_SIGNS
+        mix_cos = np.cos(xs[:, p:].T)[:, None, None, None, :]
+        mix_sin = np.sin(xs[:, p:].T)[:, None, None, None, :] * _MIX_SIGNS
+        u = np.zeros((2, 2, model.n, len(xs)))
+        u[0] = SQRT_HALF
+        for j in range(p):
+            u = u * turn_cos[j] + u[::-1] * turn_sin[j]
+            u = u * mix_cos[j] + u[::-1, ::-1] * mix_sin[j]
+        re = u[0, bits, qubits]
+        im = u[1, bits, qubits]
+        return np.multiply.reduce(re * re + im * im, axis=0)
 
-    return f
+    return fbatch
 
 
 def _batch_objective(model: LinearIsing, p: int):
@@ -177,9 +202,19 @@ class _Tracker:
             self.best_value = float(values[i])
             self.best_x = np.array(xs[i], dtype=float, copy=True)
 
+    def merge(self, other: "_Tracker"):
+        """Fold in a later restart's tracker; ties keep the earlier best."""
+        self.used += other.used
+        if other.best_value > self.best_value:
+            self.best_value = other.best_value
+            self.best_x = other.best_x
 
-def _run_nelder_mead(f, rng, hi, budget, track):
-    """Downhill simplex (maximizing), restarted on collapse within budget."""
+
+def _run_nelder_mead(rng, hi, budget, track):
+    """Downhill simplex (maximizing), restarted on collapse within budget.
+
+    A generator: yields each point to score and receives its value.
+    """
     dim = hi.size
     refl, expa, contr, shrink = _NM_COEFFS
     start = track.used
@@ -193,7 +228,7 @@ def _run_nelder_mead(f, rng, hi, budget, track):
             verts.append(v)
         vals = []
         for v in verts[: min(len(verts), left)]:
-            fv = f(v)
+            fv = yield v
             track.offer(v, fv)
             vals.append(fv)
         if len(vals) < len(verts):
@@ -209,13 +244,13 @@ def _run_nelder_mead(f, rng, hi, budget, track):
             centroid = verts[:-1].mean(axis=0)
             span = centroid - verts[-1]
             xr = centroid + refl * span
-            fr = f(xr)
+            fr = yield xr
             track.offer(xr, fr)
             if track.used - start >= budget:
                 return
             if fr > vals[0]:
                 xe = centroid + expa * span
-                fe = f(xe)
+                fe = yield xe
                 track.offer(xe, fe)
                 if fe > fr:
                     verts[-1], vals[-1] = xe, fe
@@ -230,7 +265,7 @@ def _run_nelder_mead(f, rng, hi, budget, track):
                     xc = centroid + contr * refl * span
                 else:
                     xc = centroid - contr * span
-                fc = f(xc)
+                fc = yield xc
                 track.offer(xc, fc)
                 if track.used - start >= budget:
                     return
@@ -239,14 +274,14 @@ def _run_nelder_mead(f, rng, hi, budget, track):
                 else:
                     for i in range(1, len(verts)):
                         verts[i] = verts[0] + shrink * (verts[i] - verts[0])
-                        fv = f(verts[i])
+                        fv = yield verts[i]
                         track.offer(verts[i], fv)
                         vals[i] = fv
                         if track.used - start >= budget:
                             return
 
 
-def _run_simulated_annealing(f, rng, hi, budget, track):
+def _run_simulated_annealing(rng, hi, budget, track):
     """Gaussian-proposal annealing with wrap-around into the box.
 
     Step size and temperature cool geometrically over a fixed 500-step
@@ -254,14 +289,14 @@ def _run_simulated_annealing(f, rng, hi, budget, track):
     has seen.  The schedule depends only on the step index, never on the
     requested budget, so shorter runs are exact prefixes of longer runs
     with the same seed; one complete cycle is enough to refine a basin
-    to roughly the final step size.
+    to roughly the final step size.  A generator, like _run_nelder_mead.
     """
     steps = _SA_CYCLE - 1
     sig_rate = (_SA_SIGMA[1] / _SA_SIGMA[0]) ** (1.0 / steps)
     t_rate = (_SA_TEMP[1] / _SA_TEMP[0]) ** (1.0 / steps)
     start = track.used
     x = rng.uniform(0.0, hi)
-    fx = f(x)
+    fx = yield x
     track.offer(x, fx)
     best_x, best_f = x, fx
     k = 0
@@ -272,7 +307,7 @@ def _run_simulated_annealing(f, rng, hi, budget, track):
         sigma = _SA_SIGMA[0] * sig_rate**j
         temp = _SA_TEMP[0] * t_rate**j
         cand = (x + rng.normal(0.0, sigma, hi.size)) % hi
-        fc = f(cand)
+        fc = yield cand
         track.offer(cand, fc)
         if fc >= fx or rng.random() < math.exp((fc - fx) / temp):
             x, fx = cand, fc
@@ -294,15 +329,15 @@ def _run_differential_evolution(fbatch, rng, hi, budget, track):
         return
     while track.used - start < budget:
         m = min(pop_size, budget - (track.used - start))
-        trials = np.empty((m, dim))
-        for i in range(m):
-            idx = rng.choice(pop_size - 1, 3, replace=False)
-            idx += idx >= i  # never pick the parent
-            mutant = pop[idx[0]] + _DE_WEIGHT * (pop[idx[1]] - pop[idx[2]])
-            mutant = np.clip(mutant, 0.0, hi)
-            mask = rng.random(dim) < _DE_CROSSOVER
-            mask[rng.integers(dim)] = True
-            trials[i] = np.where(mask, mutant, pop[i])
+        idx = np.empty((m, 3), dtype=np.int64)
+        mask = np.empty((m, dim), dtype=bool)
+        for i in range(m):  # per-individual draws, in stream order
+            idx[i] = rng.choice(pop_size - 1, 3, replace=False)
+            mask[i] = rng.random(dim) < _DE_CROSSOVER
+            mask[i, rng.integers(dim)] = True
+        idx += idx >= np.arange(m)[:, None]  # never pick the parent
+        mutant = pop[idx[:, 0]] + _DE_WEIGHT * (pop[idx[:, 1]] - pop[idx[:, 2]])
+        trials = np.where(mask, np.clip(mutant, 0.0, hi), pop[:m])
         trial_vals = fbatch(trials)
         track.offer_batch(trials, trial_vals)
         better = trial_vals > vals[:m]
@@ -320,8 +355,37 @@ def _run_random_search(fbatch, rng, hi, budget, track):
         track.offer_batch(xs, fbatch(xs))
 
 
-_SEQUENTIAL = {0: _run_nelder_mead, 2: _run_simulated_annealing}
+_LOCKSTEP = {0: _run_nelder_mead, 2: _run_simulated_annealing}
 _BATCHED = {1: _run_differential_evolution, 3: _run_random_search}
+
+
+def _run_lockstep(runner, model: LinearIsing, p: int, spec: OptimizerSpec, hi):
+    """Advance every restart of a point-at-a-time method together.
+
+    Each step scores the pending point of every live restart in one
+    objective call and sends each restart its value.  Returns the
+    restarts' trackers in restart order.
+    """
+    objective = _lockstep_objective(model, p)
+    method_id = _METHOD_IDS[spec.method]
+    trackers = [_Tracker() for _ in range(spec.restarts)]
+    live = [
+        runner(_make_rng(spec.seed, method_id, restart), hi, spec.budget, track)
+        for restart, track in enumerate(trackers)
+    ]
+    values = [None] * len(live)
+    while live:
+        moving, points = [], []
+        for restart, value in zip(live, values):
+            try:
+                points.append(restart.send(value))
+            except StopIteration:
+                continue
+            moving.append(restart)
+        live = moving
+        if live:
+            values = objective(np.array(points)).tolist()
+    return trackers
 
 
 def _gamma_box(model: LinearIsing, gamma_max) -> float:
@@ -354,15 +418,15 @@ def maximize(
     method_id = _METHOD_IDS[spec.method]
     hi = np.array([_gamma_box(model, gamma_max)] * p + [math.pi] * p)
     track = _Tracker()
-    if method_id in _SEQUENTIAL:
-        runner = _SEQUENTIAL[method_id]
-        objective = _scalar_objective(model, p)
+    if method_id in _LOCKSTEP:
+        for restart_track in _run_lockstep(_LOCKSTEP[method_id], model, p, spec, hi):
+            track.merge(restart_track)
     else:
         runner = _BATCHED[method_id]
         objective = _batch_objective(model, p)
-    for restart in range(spec.restarts):
-        rng = _make_rng(spec.seed, method_id, restart)
-        runner(objective, rng, hi, spec.budget, track)
+        for restart in range(spec.restarts):
+            rng = _make_rng(spec.seed, method_id, restart)
+            runner(objective, rng, hi, spec.budget, track)
     best = track.best_x
     params = QaoaParams(tuple(best[:p]), tuple(best[p:]))
     return OptimizationResult(

@@ -12,10 +12,12 @@ qubit l.  Everything here is exact (no sampling, no statevector).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateProbabilityError
 from .gates import SQRT_HALF, _check_angle, bit_amplitudes
 from .ising import LinearIsing, optimal_bits
 
@@ -58,6 +60,10 @@ class RuntimeEstimate:
     the optimum is observed, assuming each measured string can be checked
     classically at no cost.  It is therefore a lower bound on any notion
     of wall time; no gate-level costs are included.
+
+    Past the float range prob_opt underflows to 0.0 and expected_samples
+    is inf; log_prob_opt and log_expected_samples (natural logs) still
+    carry the values.
     """
 
     prob_opt: float
@@ -65,6 +71,8 @@ class RuntimeEstimate:
     exponent_base: float
     m: int
     n: int
+    log_prob_opt: float
+    log_expected_samples: float
 
 
 def prob_opt(model: LinearIsing, params: QaoaParams) -> float:
@@ -121,11 +129,21 @@ def prob_opt_replicated(base: LinearIsing, k: int, params: QaoaParams) -> float:
     """prob_opt for k copies of base, computed as prob_opt(base)**k.
 
     Replication multiplies probabilities because the state factorizes
-    per qubit and copies share coefficients and angles.
+    per qubit and copies share coefficients and angles.  Raises
+    DegenerateProbabilityError when a positive base probability's k-th
+    power falls below the smallest normal float, where it would lose
+    its digits or read 0.0; log_prob_opt of the replica has the value.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"replication count must be a positive integer, got {k!r}")
-    return prob_opt(base, params) ** k
+    p_base = prob_opt(base, params)
+    power = p_base**k
+    if power < sys.float_info.min and p_base > 0.0:
+        raise DegenerateProbabilityError(
+            f"prob_opt(base)**{k} underflows: its natural log is "
+            f"{k * math.log(p_base):.6g}; use log_prob_opt"
+        )
+    return power
 
 
 def runtime_estimate(base: LinearIsing, k: int, params: QaoaParams) -> RuntimeEstimate:
@@ -133,6 +151,7 @@ def runtime_estimate(base: LinearIsing, k: int, params: QaoaParams) -> RuntimeEs
 
     exponent_base is prob_opt(base)**(-1/m) for m = base.n: the per-qubit
     growth factor, so expected_samples == exponent_base**n for n = k*m.
+    expected_samples is inf when 1/prob_opt is past the float range.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"replication count must be a positive integer, got {k!r}")
@@ -140,12 +159,19 @@ def runtime_estimate(base: LinearIsing, k: int, params: QaoaParams) -> RuntimeEs
     if p_base <= 0.0:
         raise ValueError("base probability is zero; runtime is unbounded at these angles")
     m = base.n
+    try:
+        expected = p_base ** (-float(k))
+    except OverflowError:
+        expected = math.inf
+    log_prob = k * math.log(p_base)
     return RuntimeEstimate(
         prob_opt=p_base**k,
-        expected_samples=p_base ** (-float(k)),
+        expected_samples=expected,
         exponent_base=p_base ** (-1.0 / m),
         m=m,
         n=k * m,
+        log_prob_opt=log_prob,
+        log_expected_samples=-log_prob,
     )
 
 

@@ -3,7 +3,8 @@
 One test per criterion, each printing a single "criterion NN: PASS/FAIL"
 line (run with `pytest tests/test_acceptance.py -v -s` to watch them).
 The whole file takes several minutes; the heavy fixtures are session
-scoped and shared.
+scoped and shared.  Every test carries the `acceptance` marker, so
+`pytest -m "not acceptance"` runs the fast suite alone.
 
 Certified cells: the reference values are reported maxima, and any angles
 whose success probability the dense statevector simulator reproduces are
@@ -40,6 +41,8 @@ from qaoa_linear.probability import (
     prob_opt_replicated,
 )
 from qaoa_linear.statevector import expectation, outcome_probability, run_ansatz
+
+pytestmark = pytest.mark.acceptance
 
 # Bundled reference values for the benchmark family (1..m): best success
 # probability and per-qubit runtime base, m = 1..7 (rows), p = 1..5.

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qaoa_linear.errors import DegenerateProbabilityError
+from qaoa_linear.errors import DegenerateProbabilityError, ResourceLimitError
 from qaoa_linear.experiments import (
+    MAX_SAMPLING_DRAWS,
     build_tables,
     cell_seed,
     conjecture_scan,
@@ -125,6 +126,12 @@ class TestSampling:
     def test_run_count_validated(self):
         with pytest.raises(ValueError):
             sample_until_optimum(LinearIsing((1.0,)), QaoaParams.zero(1), runs=0)
+
+    def test_draw_cap_refuses_before_allocating(self):
+        model = LinearIsing((1.0,) * 4)
+        runs = MAX_SAMPLING_DRAWS // 4 + 1
+        with pytest.raises(ResourceLimitError, match="cap"):
+            sample_until_optimum(model, QaoaParams.zero(1), runs=runs)
 
 
 class TestConjectureScan:

@@ -4,14 +4,20 @@ Most tests run at reduced budgets; the full-budget numbers live in the
 acceptance suite.
 """
 
+import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qaoa_linear.ising import LinearIsing, consecutive
+from qaoa_linear.gates import SQRT_HALF
+from qaoa_linear.ising import LinearIsing, consecutive, optimal_bits, replicate
 from qaoa_linear.optimizers import (
     METHODS,
     OptimizerSpec,
+    _lockstep_objective,
     default_portfolio,
     gamma_period,
     maximize,
@@ -186,3 +192,96 @@ class TestPortfolio:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             portfolio_maximize(LinearIsing((1.0,)), 1, [])
+
+
+# Recorded before Nelder-Mead and annealing ran their restarts in lockstep,
+# when each restart ran alone through a scalar objective.  (method,
+# best_value.hex(), best_gammas, best_betas, evaluations_used).  At budget
+# 116 on (1, 2) and 323 on the mixed-sign model, Nelder-Mead's first
+# restart ends inside a shrink step.
+GOLDEN = {
+    (LinearIsing((1.0, 2.0)), 1, OptimizerSpec("nelder-mead", 116, 1, 2)): (
+        ("nelder-mead", "0x1.c3c7f2b013d65p-1", (0.47280413626006224,), (3.9269908122336643,), 232),
+        ("differential-evolution", "0x1.c09d3427223bep-1", (0.508963390345914,), (0.7954409285520831,), 232),
+        ("simulated-annealing", "0x1.c35ffd5ca20a3p-1", (0.48064834409458235,), (0.8029877522768429,), 232),
+        ("random-search", "0x1.aafff12bb1ad8p-1", (0.3779323290203087,), (0.8590177567815581,), 232),
+    ),
+    (consecutive(5), 3, OptimizerSpec("nelder-mead", 600, 2, 3)): (
+        ("nelder-mead", "0x1.a8c4317feaec2p-1", (1.5910463318964283, 1.3220358861155714, 2.661686045899935), (2.61509054635644, 0.94950543603409, 1.8981477511194247), 1800),
+        ("differential-evolution", "0x1.fe9b908372412p-2", (2.9652686969546553, 3.141592653589793, 0.0), (0.0, 3.141592653589793, 2.281093186069403), 1800),
+        ("simulated-annealing", "0x1.27d1fca77e2abp-1", (0.9740772583238309, 1.949360274979244, 2.098763537645181), (0.0066291467145687, 2.3410758132766407, 3.0609167426796318), 1800),
+        ("random-search", "0x1.7768041f79dc8p-1", (2.9577627231589867, 0.11841220830247137, 0.3543618760588298), (2.3654834231741773, 0.1050574717867171, 0.1594931484878241), 1800),
+    ),
+    (LinearIsing((1.0, -2.5, 0.75, 3.0)), 2, OptimizerSpec("nelder-mead", 323, 1, 2)): (
+        ("nelder-mead", "0x1.8ed4fe16938dfp-1", (1.3201902663192469, 13.528342934395628), (2.2144988633171128, 1.9411143887122488), 646),
+        ("differential-evolution", "0x1.ea44e164645c0p-2", (6.827417019895038, 7.109001628259), (1.7834429754381975, 0.6314837744269164), 646),
+        ("simulated-annealing", "0x1.33b5a774e6c08p-1", (5.845464965688453, 7.105016838678669), (0.644133494686295, 0.979524425057042), 646),
+        ("random-search", "0x1.0c4d7de82e0d2p-1", (0.32124789710967055, 11.115151177909082), (0.9021091737497016, 0.038870765508987395), 646),
+    ),
+}
+
+
+class TestGoldenTrajectories:
+    @pytest.mark.parametrize("cell", list(GOLDEN), ids=["m2p1", "m5p3", "mixed-p2"])
+    def test_every_method_repeats_recorded_result(self, cell):
+        model, p, base_spec = cell
+        for method, value_hex, gammas, betas, used in GOLDEN[cell]:
+            spec = OptimizerSpec(method, base_spec.budget, base_spec.seed, base_spec.restarts)
+            result = maximize(model, p, spec)
+            assert (result.best_value.hex(), result.best_gammas, result.best_betas) == (
+                value_hex,
+                gammas,
+                betas,
+            ), method
+            assert result.evaluations_used == used, method
+
+    def test_restart_ties_keep_the_earliest(self):
+        # several restarts reach the same best bits; the first one wins
+        spec = OptimizerSpec("nelder-mead", budget=2000, seed=1, restarts=8)
+        result = maximize(LinearIsing((1.0,)), 1, spec)
+        assert result.best_value.hex() == "0x1.0000000000001p+0"
+        assert (result.best_gammas, result.best_betas) == (
+            (2.3561944909280665,),
+            (2.3561944874909324,),
+        )
+        assert result.evaluations_used == 16000
+
+
+def _scalar_reference(model: LinearIsing, p: int, x) -> float:
+    """The one-point recurrence that the lockstep objective replaced."""
+    total = 1.0
+    for a, bit in zip(model.coeffs, optimal_bits(model)):
+        v0 = complex(SQRT_HALF)
+        v1 = complex(SQRT_HALF)
+        for j in range(p):
+            ph = cmath.exp(-1j * x[j] * a)
+            v0 *= ph
+            v1 *= ph.conjugate()
+            c = math.cos(x[p + j])
+            s = math.sin(x[p + j])
+            v0, v1 = c * v0 - 1j * s * v1, -1j * s * v0 + c * v1
+        v = v0 if bit == 0 else v1
+        total *= v.real * v.real + v.imag * v.imag
+    return total
+
+
+_coefficients = st.floats(-6.0, 6.0, allow_nan=False).filter(lambda a: abs(a) > 1e-3)
+
+
+@st.composite
+def _models(draw):
+    base = LinearIsing(tuple(draw(st.lists(_coefficients, min_size=1, max_size=6))))
+    return replicate(base, draw(st.integers(1, 4)))
+
+
+class TestLockstepObjective:
+    @settings(max_examples=60, deadline=None)
+    @given(_models(), st.integers(1, 5), st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_scalar_recurrence(self, model, p, batch, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-7.0, 7.0, (batch, 2 * p))
+        values = _lockstep_objective(model, p)(xs)
+        expected = [_scalar_reference(model, p, x) for x in xs]
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected]
+        direct = [prob_opt(model, QaoaParams(tuple(x[:p]), tuple(x[p:]))) for x in xs]
+        assert values.tolist() == direct

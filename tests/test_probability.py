@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qaoa_linear.errors import DegenerateProbabilityError
 from qaoa_linear.ising import LinearIsing, consecutive, replicate
 from qaoa_linear.probability import (
     QaoaParams,
@@ -147,6 +148,11 @@ class TestReplication:
         with pytest.raises(ValueError):
             prob_opt_replicated(LinearIsing((1,)), 0, QaoaParams.zero(1))
 
+    def test_underflow_raises(self):
+        # 5000 copies: ln P = -2396, far below the float range
+        with pytest.raises(DegenerateProbabilityError, match="log_prob_opt"):
+            prob_opt_replicated(LinearIsing((1, 2)), 5000, QaoaParams((0.6,), (0.4,)))
+
 
 class TestLogProb:
     def test_agrees_with_direct_log(self):
@@ -190,6 +196,27 @@ class TestRuntimeEstimate:
             assert est.exponent_base ** est.n == pytest.approx(
                 est.expected_samples, rel=1e-9
             )
+
+    def test_in_range_values_are_plain_powers(self):
+        model = LinearIsing((1, 2))
+        params = QaoaParams((0.6,), (0.4,))
+        p_base = prob_opt(model, params)
+        est = runtime_estimate(model, 40, params)
+        assert est.prob_opt == p_base**40
+        assert est.expected_samples == p_base ** (-40.0)
+        assert est.log_prob_opt == 40 * math.log(p_base)
+        assert est.log_expected_samples == -est.log_prob_opt
+
+    def test_past_float_range(self):
+        # 1/P = e^2396 overflows a float; the logs stay finite
+        model = LinearIsing((1, 2))
+        params = QaoaParams((0.6,), (0.4,))
+        est = runtime_estimate(model, 5000, params)
+        assert est.prob_opt == 0.0
+        assert est.expected_samples == math.inf
+        assert est.log_prob_opt == pytest.approx(5000 * log_prob_opt(model, params), rel=1e-12)
+        assert est.log_expected_samples == -est.log_prob_opt
+        assert est.exponent_base == runtime_estimate(model, 1, params).exponent_base
 
     def test_rejects_zero_probability(self):
         # gamma=pi/2 on coefficient 1 with beta=pi/4 kills the target amplitude
