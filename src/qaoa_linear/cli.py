@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 
@@ -19,7 +18,12 @@ import numpy as np
 
 from .circuit import emit_linear_solver_circuit
 from .errors import QaoaLinearError
-from .experiments import build_tables, conjecture_scan, sample_until_optimum
+from .experiments import (
+    build_tables,
+    check_sampling_request,
+    conjecture_scan,
+    sample_until_optimum,
+)
 from .gates import amplitude_to_bit
 from .ising import (
     LinearIsing,
@@ -53,8 +57,6 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-THREADS_ENV = "QAOA_LINEAR_THREADS"
 
 
 class UsageError(Exception):
@@ -140,19 +142,6 @@ class _Resolver:
             raw = self.config.pop(key)
             value = parse(raw) if parse is not None else raw
             source = "config"
-        else:
-            value, source = default, "default"
-        self.lines.append(f"# {key}={_fmt(value)} ({source})")
-        return value
-
-    def get_env(self, key: str, flag_value, env_name: str, default, parse):
-        if flag_value is not None:
-            self.config.pop(key, None)
-            value, source = flag_value, "flag"
-        elif key in self.config:
-            value, source = parse(self.config.pop(key)), "config"
-        elif env_name in os.environ:
-            value, source = parse(os.environ[env_name]), "env"
         else:
             value, source = default, "default"
         self.lines.append(f"# {key}={_fmt(value)} ({source})")
@@ -261,15 +250,13 @@ def cmd_table(ns) -> int:
     budget = res.get("budget", ns.budget, DEFAULT_BUDGET, parse=_parse_int)
     restarts = res.get("restarts", ns.restarts, DEFAULT_RESTARTS, parse=_parse_int)
     seed = res.get("seed", ns.seed, 1, parse=_parse_int)
-    threads = res.get_env("threads", ns.threads, THREADS_ENV, 1, parse=_parse_int)
     fmt = res.get("format", ns.format, "csv")
     out_path = res.get("out", ns.out, None)
     if fmt not in ("csv", "structured"):
         raise UsageError(f"format must be csv or structured, got {fmt!r}")
     res.emit()
     table = build_tables(
-        m_max, p_max, default_portfolio(seed=seed, budget=budget, restarts=restarts),
-        threads=threads,
+        m_max, p_max, default_portfolio(seed=seed, budget=budget, restarts=restarts)
     )
     if fmt == "csv":
         _write_text(out_path, table.to_csv(), sys.stdout)
@@ -302,6 +289,7 @@ def cmd_sample(ns) -> int:
     p = res.get("p", ns.p, None, parse=_parse_int)
     specs, seed = _resolve_specs(res, ns)
     out_path = res.get("out", ns.out, None)
+    check_sampling_request(runs, model.n)
     if auto:
         if gammas is not None or betas is not None:
             raise UsageError("--auto replaces --gamma/--beta; give one or the other")
@@ -505,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--M", type=int, help="largest model size")
     p_table.add_argument("--P", type=int, help="largest layer count")
     add_opt(p_table)
-    p_table.add_argument("--threads", type=int, help=f"default from ${THREADS_ENV}")
     p_table.add_argument("--format", choices=("csv", "structured"))
     p_table.add_argument("--out", help="output path; stdout when omitted")
     p_table.set_defaults(func=cmd_table)

@@ -2,13 +2,12 @@
 
 Every cell of every experiment derives its own RNG seed from the master
 seed and the cell coordinates, so tables are bitwise reproducible and
-insensitive to evaluation order (including threaded runs).
+insensitive to evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,39 +65,27 @@ class ProbTable:
         return "\n".join(lines) + "\n"
 
 
-def build_tables(m_max: int, p_max: int, specs=None, *, threads: int = 1) -> ProbTable:
+def build_tables(m_max: int, p_max: int, specs=None) -> ProbTable:
     """Optimize every (m, p) cell for the models (1..m), m <= m_max.
 
     Each cell runs the full portfolio with per-cell seeds derived from
-    each spec's own seed via cell_seed.  threads > 1 distributes cells
-    over a thread pool; results are placed by cell index, so the table is
-    identical whatever the completion order (the sequential methods hold
-    the interpreter lock, so threading mainly overlaps the vectorized
-    methods' numpy work).
+    each spec's own seed via cell_seed.
     """
     if not isinstance(m_max, int) or m_max < 1:
         raise ValueError(f"m_max must be a positive integer, got {m_max!r}")
     if not isinstance(p_max, int) or p_max < 1:
         raise ValueError(f"p_max must be a positive integer, got {p_max!r}")
-    if not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     specs = tuple(specs) if specs is not None else default_portfolio()
     if not specs:
         raise ValueError("need at least one OptimizerSpec")
     m_values = tuple(range(1, m_max + 1))
     p_values = tuple(range(1, p_max + 1))
 
-    def run_cell(mp):
-        m, p = mp
+    def run_cell(m, p):
         cell_specs = tuple(replace(s, seed=cell_seed(s.seed, m, p)) for s in specs)
         return portfolio_maximize(consecutive(m), p, cell_specs).best_value
 
-    cells = [(m, p) for m in m_values for p in p_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(run_cell, cells))
-    else:
-        flat = [run_cell(mp) for mp in cells]
+    flat = [run_cell(m, p) for m in m_values for p in p_values]
     prob = np.array(flat, dtype=float).reshape(len(m_values), len(p_values))
     base = np.empty_like(prob)
     for i, m in enumerate(m_values):
@@ -117,6 +104,21 @@ class SamplingReport:
     ci95_halfwidth: float
 
 
+def check_sampling_request(runs: int, n: int) -> None:
+    """Refuse a sampling request before any work is spent on it.
+
+    ValueError unless runs is a positive integer; ResourceLimitError when
+    runs * n exceeds MAX_SAMPLING_DRAWS.
+    """
+    if not isinstance(runs, int) or runs < 1:
+        raise ValueError(f"runs must be a positive integer, got {runs!r}")
+    if runs * n > MAX_SAMPLING_DRAWS:
+        raise ResourceLimitError(
+            f"{runs} runs on {n} qubits need {runs * n} draws per step; "
+            f"the cap is {MAX_SAMPLING_DRAWS}"
+        )
+
+
 def sample_until_optimum(
     model: LinearIsing, params: QaoaParams, runs: int, seed: int = 1
 ) -> SamplingReport:
@@ -129,13 +131,7 @@ def sample_until_optimum(
     (identical law, bounded cost).  Refuses probabilities below 1e-9
     and, with ResourceLimitError, runs * n above MAX_SAMPLING_DRAWS.
     """
-    if not isinstance(runs, int) or runs < 1:
-        raise ValueError(f"runs must be a positive integer, got {runs!r}")
-    if runs * model.n > MAX_SAMPLING_DRAWS:
-        raise ResourceLimitError(
-            f"{runs} runs on {model.n} qubits need {runs * model.n} draws per step; "
-            f"the cap is {MAX_SAMPLING_DRAWS}"
-        )
+    check_sampling_request(runs, model.n)
     bits = optimal_bits(model)
     per_qubit = []
     for a, bit in zip(model.coeffs, bits):

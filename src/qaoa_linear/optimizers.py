@@ -15,6 +15,17 @@ Each restart keeps its own stream, budget and running best, and the
 batched objective repeats the float operations of the scalar recurrence
 in gates.bit_amplitudes, so the results are bit for bit those of running
 the restarts one after another.
+
+Differential evolution draws each generation's mutation indices and
+crossover masks from one block of raw Philox words and decodes them with
+array operations into exactly what per-individual choice, random and
+integers calls draw (_de_draws).  This relies on numpy internals: Lemire
+bounded draws on 32-bit halves of raw words, buffered in the bit
+generator's has_uint32/uinteger state; Floyd's algorithm and a two-swap
+shuffle in choice; doubles as (x >> 11) * 2**-53.  A rejected bounded
+draw or a half-full buffer falls back to the per-individual calls.
+TestDifferentialEvolutionDraws in tests/test_optimizers.py pins these
+internals.
 """
 
 from __future__ import annotations
@@ -239,9 +250,9 @@ def _run_nelder_mead(rng, hi, budget, track):
             order = np.argsort(-vals)
             verts = verts[order]
             vals = vals[order]
-            if np.max(np.abs(verts - verts[0])) < _NM_COLLAPSE:
+            if np.abs(verts - verts[0]).max() < _NM_COLLAPSE:
                 break  # collapsed: reseed a fresh simplex
-            centroid = verts[:-1].mean(axis=0)
+            centroid = np.add.reduce(verts[:-1], axis=0) / dim  # = .mean(axis=0), same bits
             span = centroid - verts[-1]
             xr = centroid + refl * span
             fr = yield xr
@@ -316,6 +327,67 @@ def _run_simulated_annealing(rng, hi, budget, track):
         k += 1
 
 
+def _de_loop_draws(rng, m, pop_size, dim):
+    """Mutation indices in [0, pop_size - 1) and crossover masks of m
+    individuals, drawn one individual at a time in stream order."""
+    idx = np.empty((m, 3), dtype=np.int64)
+    mask = np.empty((m, dim), dtype=bool)
+    for i in range(m):
+        idx[i] = rng.choice(pop_size - 1, 3, replace=False)
+        mask[i] = rng.random(dim) < _DE_CROSSOVER
+        mask[i, rng.integers(dim)] = True
+    return idx, mask
+
+
+def _lemire_rejects(leftover, bounds) -> bool:
+    """Whether numpy's bounded 32-bit draw would redraw any of these."""
+    return bool((leftover < (2**32 - bounds) % bounds).any())
+
+
+def _de_draws(rng, m, pop_size, dim):
+    """_de_loop_draws decoded from one block of raw Philox words, bit for bit.
+
+    Each individual of the loop makes six bounded draws through numpy's
+    Lemire method, (u32 * bound) >> 32, on 32-bit halves of raw words,
+    low half first: choice's Floyd draws with bounds n - 2, n - 1, n
+    (n = pop_size - 1) and its shuffle's two swaps with bounds 3 and 2,
+    then integers(dim).  Between the fifth and the sixth come dim doubles
+    (x >> 11) * 2**-53, one raw word each, which leave the 32-bit buffer
+    holding the sixth draw.  With that buffer empty, an individual is
+    therefore three words of bounded draws and dim words of doubles.
+    When the buffer is not empty, or a draw would be rejected (about one
+    in 10**8), the state is restored and the loop draws instead.
+    Needs dim >= 2 (dim = 2p), so that integers(dim) draws.
+    """
+    bitgen = rng.bit_generator
+    before = bitgen.state
+    if not before["has_uint32"]:
+        words = bitgen.random_raw(m * (3 + dim)).reshape(m, 3 + dim)
+        halves = np.stack((words[:, :3] & 0xFFFFFFFF, words[:, :3] >> 32), axis=2)
+        n = pop_size - 1
+        bounds = np.array([n - 2, n - 1, n, 3, 2, dim], dtype=np.uint64)
+        scaled = halves.reshape(m, 6) * bounds
+        if not _lemire_rejects(scaled & 0xFFFFFFFF, bounds):
+            r = (scaled >> 32).astype(np.int64)
+            # Floyd: the draw at step j is kept unless already taken, then j.
+            idx = r[:, :3].copy()
+            idx[idx[:, 1] == idx[:, 0], 1] = n - 2
+            idx[(idx[:, 2] == idx[:, 0]) | (idx[:, 2] == idx[:, 1]), 2] = n - 1
+            rows = np.arange(m)
+            for i, col in ((2, 3), (1, 4)):  # shuffle: swap i with r[:, col]
+                held = idx[rows, r[:, col]]
+                idx[rows, r[:, col]] = idx[:, i]
+                idx[:, i] = held
+            mask = (words[:, 3:] >> 11) * 2.0**-53 < _DE_CROSSOVER
+            mask[rows, r[:, 5]] = True
+            after = bitgen.state
+            after["uinteger"] = int(words[-1, 2] >> 32)  # the loop leaves it spent
+            bitgen.state = after
+            return idx, mask
+        bitgen.state = before
+    return _de_loop_draws(rng, m, pop_size, dim)
+
+
 def _run_differential_evolution(fbatch, rng, hi, budget, track):
     """rand/1/bin with F = 0.7, CR = 0.9, trial points clipped to the box."""
     dim = hi.size
@@ -329,12 +401,7 @@ def _run_differential_evolution(fbatch, rng, hi, budget, track):
         return
     while track.used - start < budget:
         m = min(pop_size, budget - (track.used - start))
-        idx = np.empty((m, 3), dtype=np.int64)
-        mask = np.empty((m, dim), dtype=bool)
-        for i in range(m):  # per-individual draws, in stream order
-            idx[i] = rng.choice(pop_size - 1, 3, replace=False)
-            mask[i] = rng.random(dim) < _DE_CROSSOVER
-            mask[i, rng.integers(dim)] = True
+        idx, mask = _de_draws(rng, m, pop_size, dim)
         idx += idx >= np.arange(m)[:, None]  # never pick the parent
         mutant = pop[idx[:, 0]] + _DE_WEIGHT * (pop[idx[:, 1]] - pop[idx[:, 2]])
         trials = np.where(mask, np.clip(mutant, 0.0, hi), pop[:m])

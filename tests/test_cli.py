@@ -4,13 +4,13 @@ import math
 
 import pytest
 
+from qaoa_linear import cli
 from qaoa_linear.circuit import interpret_circuit
 from qaoa_linear.cli import (
     EXIT_CHECK,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
-    THREADS_ENV,
     UsageError,
     main,
     parse_angle,
@@ -183,22 +183,6 @@ class TestTable:
         assert "m=1 p=1 prob=" in out
         assert "m=1 p=2 prob=" in out
 
-    def test_threads_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "3")
-        _, out, _ = run(
-            capsys, "table", "--M", "1", "--P", "1", "--budget", "200", "--restarts", "1"
-        )
-        assert "# threads=3 (env)" in out
-
-    def test_threads_flag_beats_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "3")
-        _, out, _ = run(
-            capsys,
-            "table", "--M", "1", "--P", "1", "--budget", "200", "--restarts", "1",
-            "--threads", "2",
-        )
-        assert "# threads=2 (flag)" in out
-
     def test_unwritable_path_io_error(self, capsys):
         code, _, err = run(
             capsys,
@@ -232,6 +216,18 @@ class TestSample:
         )
         assert code == EXIT_OK
         assert float(value_of(out, "mean_trials")) == 1.0
+
+    @pytest.mark.parametrize("runs,expected", [("100000000", EXIT_CHECK), ("0", EXIT_USAGE)])
+    def test_auto_refuses_bad_runs_before_optimizing(self, capsys, monkeypatch, runs, expected):
+        def optimize(*args, **kwargs):
+            raise AssertionError("optimized before refusing the run count")
+
+        monkeypatch.setattr(cli, "portfolio_maximize", optimize)
+        code, _, err = run(
+            capsys, "sample", "--model", "1,2", "--p", "1", "--auto", "--runs", runs
+        )
+        assert code == expected
+        assert "runs" in err
 
     def test_refuses_degenerate(self, capsys):
         model = ",".join(["1"] * 40)

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from qaoa_linear.errors import DegenerateProbabilityError, ResourceLimitError
@@ -60,11 +59,6 @@ class TestBuildTables:
             column = table.prob[:, j]
             assert all(column[i + 1] <= column[i] + 1e-6 for i in range(len(column) - 1))
 
-    def test_threads_do_not_change_values(self):
-        sequential = build_tables(2, 2, LEAN_SPECS, threads=1)
-        threaded = build_tables(2, 2, LEAN_SPECS, threads=4)
-        assert np.array_equal(sequential.prob, threaded.prob)
-
     def test_csv_format(self):
         table = build_tables(1, 1, LEAN_SPECS)
         text = table.to_csv()
@@ -79,8 +73,6 @@ class TestBuildTables:
             build_tables(0, 1, LEAN_SPECS)
         with pytest.raises(ValueError):
             build_tables(1, 1, ())
-        with pytest.raises(ValueError):
-            build_tables(1, 1, LEAN_SPECS, threads=0)
 
 
 class TestSampling:

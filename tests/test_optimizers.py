@@ -12,12 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qaoa_linear import optimizers
 from qaoa_linear.gates import SQRT_HALF
 from qaoa_linear.ising import LinearIsing, consecutive, optimal_bits, replicate
 from qaoa_linear.optimizers import (
     METHODS,
     OptimizerSpec,
+    _de_draws,
+    _de_loop_draws,
     _lockstep_objective,
+    _make_rng,
     default_portfolio,
     gamma_period,
     maximize,
@@ -285,3 +289,73 @@ class TestLockstepObjective:
         assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected]
         direct = [prob_opt(model, QaoaParams(tuple(x[:p]), tuple(x[p:]))) for x in xs]
         assert values.tolist() == direct
+
+
+def _philox_state(rng):
+    state = rng.bit_generator.state
+    return (
+        tuple(state["state"]["counter"]),
+        tuple(state["state"]["key"]),
+        tuple(state["buffer"]),
+        state["buffer_pos"],
+        state["has_uint32"],
+        state["uinteger"],
+    )
+
+
+class TestDifferentialEvolutionDraws:
+    """The decoded draws against the per-individual loop they replace.
+
+    _de_draws reads raw Philox words the way numpy's choice, random and
+    integers consume them; together with the golden trajectories these
+    cases pin the numpy internals that decoding relies on.
+    """
+
+    @staticmethod
+    def assert_same_draws(rng, ref, dim, sizes):
+        pop_size = 15 * dim
+        for m in sizes:
+            idx, mask = _de_draws(rng, m, pop_size, dim)
+            ref_idx, ref_mask = _de_loop_draws(ref, m, pop_size, dim)
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(mask, ref_mask)
+            assert _philox_state(rng) == _philox_state(ref)
+        assert rng.integers(1000) == ref.integers(1000)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    @pytest.mark.parametrize("seed", [1, 7, 2**40 + 3])
+    def test_generations_equal_the_loop(self, seed, dim):
+        rng, ref = (_make_rng(seed, 1, dim) for _ in range(2))
+        full = 15 * dim
+        self.assert_same_draws(rng, ref, dim, [full] * 4 + [full // 3 + 1])
+
+    def test_patched_rejection_takes_the_loop(self, monkeypatch):
+        calls = []
+
+        def rejects(leftover, bounds):
+            calls.append(len(leftover))
+            return True
+
+        monkeypatch.setattr(optimizers, "_lemire_rejects", rejects)
+        rng, ref = (_make_rng(5, 1, 0) for _ in range(2))
+        self.assert_same_draws(rng, ref, 4, [60, 60, 17])
+        assert calls == [60, 60, 17]
+
+    def test_rejected_draw_takes_the_loop(self):
+        # A zero word makes the first Floyd draw (bound 27 at dim 2)
+        # redraw; the extra 32-bit draw leaves the buffer odd afterwards.
+        rng, ref = (_make_rng(9, 1, 0) for _ in range(2))
+        for gen in (rng, ref):
+            state = gen.bit_generator.state
+            state["buffer"] = np.array([0, 1 << 40, 3 << 50, 7], dtype=np.uint64)
+            state["buffer_pos"] = 0
+            gen.bit_generator.state = state
+        self.assert_same_draws(rng, ref, 2, [30, 30, 11])
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_odd_buffer_takes_the_loop(self, dim):
+        rng, ref = (_make_rng(11, 1, dim) for _ in range(2))
+        assert rng.integers(5) == ref.integers(5)  # leaves half a word buffered
+        assert rng.bit_generator.state["has_uint32"] == 1
+        self.assert_same_draws(rng, ref, dim, [15 * dim] * 3)
