@@ -13,10 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateProbabilityError, ResourceLimitError
-from .gates import bit_amplitudes
-from .ising import LinearIsing, consecutive, optimal_bits
+from .ising import LinearIsing, consecutive
 from .optimizers import OptimizerSpec, default_portfolio, portfolio_maximize
-from .probability import QaoaParams, prob_opt
+from .probability import QaoaParams, prob_opt, qubit_probs
 
 # Sampling refuses below this; expected trial counts past 1e9 are not
 # experiments, they are hangs.
@@ -132,12 +131,6 @@ def sample_until_optimum(
     and, with ResourceLimitError, runs * n above MAX_SAMPLING_DRAWS.
     """
     check_sampling_request(runs, model.n)
-    bits = optimal_bits(model)
-    per_qubit = []
-    for a, bit in zip(model.coeffs, bits):
-        v0, v1 = bit_amplitudes(a, params.gammas, params.betas)
-        v = v0 if bit == 0 else v1
-        per_qubit.append(v.real * v.real + v.imag * v.imag)
     true_prob = prob_opt(model, params)
     if true_prob < MIN_SAMPLING_PROB:
         raise DegenerateProbabilityError(
@@ -149,7 +142,7 @@ def sample_until_optimum(
     )
     counts = np.zeros(runs, dtype=np.int64)
     if true_prob * _MAX_LITERAL_EXPECTED >= 1.0:
-        q = np.array(per_qubit)
+        q = qubit_probs(model, params)
         active = np.arange(runs)
         t = 0
         while active.size:

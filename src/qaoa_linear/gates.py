@@ -2,8 +2,9 @@
 
 Every quantity the rest of the package computes reduces to products of
 2x2 rotations acting on |+>.  This module provides the exact matrices
-(for tests and the dense simulator) and a fast scalar kernel that tracks
-one qubit's amplitude pair through the alternating RZ/RX sequence.
+(public, and used by the tests) and the scalar reference recurrence
+that tracks one qubit's amplitude pair through the alternating RZ/RX
+sequence; probability.qubit_kernel is its array form.
 
 Conventions: half-angle rotations, so rx(theta) = exp(-i*theta*X/2) and
 rz(theta) = exp(-i*theta*Z/2).  The ansatz applies, per layer j and per
@@ -20,8 +21,6 @@ import numpy as np
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-KET_ZERO = np.array([1.0, 0.0], dtype=complex)
-KET_ONE = np.array([0.0, 1.0], dtype=complex)
 KET_PLUS = np.array([SQRT_HALF, SQRT_HALF], dtype=complex)
 HADAMARD = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
 
@@ -71,8 +70,9 @@ def bit_amplitudes(a_coeff: float, gammas, betas) -> tuple[complex, complex]:
     """Amplitudes (<0|psi>, <1|psi>) for one qubit with field coefficient a_coeff.
 
     Evolves |+> through p layers of rz(2*gamma_j*a_coeff) then rx(2*beta_j).
-    Pure scalar arithmetic.  optimizers._lockstep_objective repeats these
-    float operations on arrays, so a change here must be made there too.
+    Pure scalar arithmetic: the reference for probability.qubit_kernel,
+    which repeats these float operations on arrays, so a change here
+    must be made there too.
     """
     a = float(a_coeff)
     if not math.isfinite(a) or a == 0.0:

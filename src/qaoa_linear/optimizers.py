@@ -7,14 +7,15 @@ random search.  All draw from counter-based Philox streams keyed by
 with a smaller budget is an exact prefix of a longer run with the same
 seed.  Budgets count objective evaluations, nothing else.
 
-Nelder-Mead and annealing propose one point at a time.  Each of their
-restarts is a generator that yields the point it wants scored and
+All four methods score points through one objective, built once per
+maximize call over probability.qubit_kernel, which repeats the float
+operations of gates.bit_amplitudes: every value is prob_opt's, bit for
+bit.  Nelder-Mead and annealing propose one point at a time.  Each of
+their restarts is a generator that yields the point it wants scored and
 receives its value, and all restarts of one method advance in lockstep:
-one batched objective call scores the pending point of every restart.
-Each restart keeps its own stream, budget and running best, and the
-batched objective repeats the float operations of the scalar recurrence
-in gates.bit_amplitudes, so the results are bit for bit those of running
-the restarts one after another.
+one objective call scores the pending point of every restart.  Each
+restart keeps its own stream, budget and running best, so the results
+are bit for bit those of running the restarts one after another.
 
 Differential evolution draws each generation's mutation indices and
 crossover masks from one block of raw Philox words and decodes them with
@@ -36,9 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gates import SQRT_HALF
-from .ising import LinearIsing, optimal_bits
-from .probability import QaoaParams, prob_opt, prob_opt_batch
+from .ising import LinearIsing
+# bench/tracing.py wraps prob_opt and prob_opt_batch here, so both stay imported.
+from .probability import QaoaParams, prob_opt, prob_opt_batch, qubit_kernel  # noqa: F401
 
 METHODS = (
     "nelder-mead",
@@ -136,58 +137,6 @@ def _make_rng(seed: int, method_id: int, restart: int) -> np.random.Generator:
         [seed % (1 << 64), (method_id << 32) | restart], dtype=np.uint64
     )
     return np.random.Generator(np.random.Philox(key=key))
-
-
-# Signs that fold CPython's complex products into two real products per
-# step; see _lockstep_objective.  Rows: real, imaginary parts; columns:
-# amplitudes v0, v1.
-_TURN_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])[:, :, None, None]
-_MIX_SIGNS = np.array([[1.0, 1.0], [-1.0, -1.0]])[:, :, None, None]
-
-
-def _lockstep_objective(model: LinearIsing, p: int):
-    """prob_opt over a (batch, 2p) array of points, bit for bit.
-
-    Repeats the float operations of gates.bit_amplitudes on real arrays,
-    since numpy's complex multiply rounds differently from CPython's.
-    u[part, amplitude, qubit, point] holds the real and imaginary parts
-    of (v0, v1).  Per layer, with t = -gamma*a:
-
-        v0 *= e^{it}, v1 *= e^{-it}:  u*cos t + u[::-1] * (sin t * _TURN_SIGNS)
-        (c v0 - i s v1, c v1 - i s v0):  u*c + u[::-1, ::-1] * (s * _MIX_SIGNS)
-
-    which are CPython's complex products term by term: a sign folded into
-    a factor and the order of two summands change no bits.  np.cos and
-    np.sin match math.cos and math.sin, and the product over qubits
-    reduces axis 0 in qubit order, as the scalar loop does.
-    """
-    coeffs = np.array(model.coeffs)[:, None]
-    qubits = np.arange(model.n)
-    bits = np.array(optimal_bits(model))
-
-    def fbatch(xs: np.ndarray) -> np.ndarray:
-        t = -(xs[:, :p].T[:, None, :] * coeffs)  # (layer, qubit, point)
-        turn_cos = np.cos(t)[:, None, None]
-        turn_sin = np.sin(t)[:, None, None] * _TURN_SIGNS
-        mix_cos = np.cos(xs[:, p:].T)[:, None, None, None, :]
-        mix_sin = np.sin(xs[:, p:].T)[:, None, None, None, :] * _MIX_SIGNS
-        u = np.zeros((2, 2, model.n, len(xs)))
-        u[0] = SQRT_HALF
-        for j in range(p):
-            u = u * turn_cos[j] + u[::-1] * turn_sin[j]
-            u = u * mix_cos[j] + u[::-1, ::-1] * mix_sin[j]
-        re = u[0, bits, qubits]
-        im = u[1, bits, qubits]
-        return np.multiply.reduce(re * re + im * im, axis=0)
-
-    return fbatch
-
-
-def _batch_objective(model: LinearIsing, p: int):
-    def fbatch(xs: np.ndarray) -> np.ndarray:
-        return prob_opt_batch(model, xs[:, :p], xs[:, p:])
-
-    return fbatch
 
 
 class _Tracker:
@@ -426,14 +375,13 @@ _LOCKSTEP = {0: _run_nelder_mead, 2: _run_simulated_annealing}
 _BATCHED = {1: _run_differential_evolution, 3: _run_random_search}
 
 
-def _run_lockstep(runner, model: LinearIsing, p: int, spec: OptimizerSpec, hi):
+def _run_lockstep(runner, fbatch, spec: OptimizerSpec, hi):
     """Advance every restart of a point-at-a-time method together.
 
     Each step scores the pending point of every live restart in one
     objective call and sends each restart its value.  Returns the
     restarts' trackers in restart order.
     """
-    objective = _lockstep_objective(model, p)
     method_id = _METHOD_IDS[spec.method]
     trackers = [_Tracker() for _ in range(spec.restarts)]
     live = [
@@ -451,7 +399,7 @@ def _run_lockstep(runner, model: LinearIsing, p: int, spec: OptimizerSpec, hi):
             moving.append(restart)
         live = moving
         if live:
-            values = objective(np.array(points)).tolist()
+            values = fbatch(np.array(points)).tolist()
     return trackers
 
 
@@ -484,13 +432,17 @@ def maximize(
         raise ValueError(f"layer count must be a positive integer, got {p!r}")
     method_id = _METHOD_IDS[spec.method]
     hi = np.array([_gamma_box(model, gamma_max)] * p + [math.pi] * p)
+    kernel = qubit_kernel(model)
+
+    def objective(xs: np.ndarray) -> np.ndarray:
+        return np.multiply.reduce(kernel(xs[:, :p], xs[:, p:]), axis=0)
+
     track = _Tracker()
     if method_id in _LOCKSTEP:
-        for restart_track in _run_lockstep(_LOCKSTEP[method_id], model, p, spec, hi):
+        for restart_track in _run_lockstep(_LOCKSTEP[method_id], objective, spec, hi):
             track.merge(restart_track)
     else:
         runner = _BATCHED[method_id]
-        objective = _batch_objective(model, p)
         for restart in range(spec.restarts):
             rng = _make_rng(spec.seed, method_id, restart)
             runner(objective, rng, hi, spec.budget, track)

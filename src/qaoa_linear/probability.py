@@ -7,6 +7,12 @@ measuring the classical optimum is a product of single-qubit terms:
 
 with U_j = rx(2*beta_j) rz(2*gamma_j*a_l) and b_l the optimal bit of
 qubit l.  Everything here is exact (no sampling, no statevector).
+
+qubit_kernel is the one array form of the single-qubit recurrence: it
+repeats the float operations of gates.bit_amplitudes, so its per-qubit
+terms equal |bit_amplitudes|^2 bit for bit.  prob_opt, log_prob_opt,
+prob_opt_batch, the sampler's per-qubit law and the optimizers' objective
+are reductions over it.
 """
 
 from __future__ import annotations
@@ -75,34 +81,84 @@ class RuntimeEstimate:
     log_expected_samples: float
 
 
+# Signs that fold CPython's complex products into two real products per
+# step; see qubit_kernel.  Rows: real, imaginary parts; columns:
+# amplitudes v0, v1.
+_TURN_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])[:, :, None, None]
+_MIX_SIGNS = np.array([[1.0, 1.0], [-1.0, -1.0]])[:, :, None, None]
+
+
+def qubit_kernel(model: LinearIsing):
+    """Per-qubit success probabilities over a batch of angle schedules.
+
+    Returns kernel(gammas, betas), which maps (batch, p) arrays of finite
+    angles to the (n, batch) array of |<b_l|psi_l>|^2, equal bit for bit
+    to v.real * v.real + v.imag * v.imag of gates.bit_amplitudes.  The
+    model's set-up is done once here; the kernel does not validate.
+
+    It repeats bit_amplitudes' float operations on real arrays, since
+    numpy's complex multiply rounds differently from CPython's.
+    u[part, amplitude, qubit, point] holds the real and imaginary parts
+    of (v0, v1).  Per layer, with t = -gamma*a:
+
+        v0 *= e^{it}, v1 *= e^{-it}:  u*cos t + u[::-1] * (sin t * _TURN_SIGNS)
+        (c v0 - i s v1, c v1 - i s v0):  u*c + u[::-1, ::-1] * (s * _MIX_SIGNS)
+
+    which are CPython's complex products term by term: a sign folded into
+    a factor and the order of two summands change no bits.  np.cos and
+    np.sin match math.cos and math.sin.
+    """
+    coeffs = np.array(model.coeffs)[:, None]
+    qubits = np.arange(model.n)
+    bits = np.array(optimal_bits(model))
+
+    def kernel(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        t = -(gammas.T[:, None, :] * coeffs)  # (layer, qubit, point)
+        turn_cos = np.cos(t)[:, None, None]
+        turn_sin = np.sin(t)[:, None, None] * _TURN_SIGNS
+        mix_cos = np.cos(betas.T)[:, None, None, None, :]
+        mix_sin = np.sin(betas.T)[:, None, None, None, :] * _MIX_SIGNS
+        u = np.zeros((2, 2, model.n, len(gammas)))
+        u[0] = SQRT_HALF
+        for j in range(len(t)):
+            u = u * turn_cos[j] + u[::-1] * turn_sin[j]
+            u = u * mix_cos[j] + u[::-1, ::-1] * mix_sin[j]
+        amp = u[:, bits, qubits]  # (part, qubit, point) of <b_l|psi_l>
+        amp *= amp
+        return amp[0] + amp[1]
+
+    return kernel
+
+
+def qubit_probs(model: LinearIsing, params: QaoaParams) -> np.ndarray:
+    """One schedule's (n,) per-qubit terms, in qubit order."""
+    kernel = qubit_kernel(model)
+    return kernel(np.array([params.gammas]), np.array([params.betas]))[:, 0]
+
+
 def prob_opt(model: LinearIsing, params: QaoaParams) -> float:
     """Probability that measuring the ansatz state yields the optimum."""
-    total = 1.0
-    for a, bit in zip(model.coeffs, optimal_bits(model)):
-        v0, v1 = bit_amplitudes(a, params.gammas, params.betas)
-        v = v0 if bit == 0 else v1
-        total *= v.real * v.real + v.imag * v.imag
-    return total
+    return float(np.multiply.reduce(qubit_probs(model, params)))
 
 
 def log_prob_opt(model: LinearIsing, params: QaoaParams) -> float:
-    """Natural log of prob_opt; safe for models far past float underflow."""
+    """Natural log of prob_opt; safe for models far past float underflow.
+
+    A sequential sum in qubit order: np.add.reduce sums pairwise.
+    """
     total = 0.0
-    for a, bit in zip(model.coeffs, optimal_bits(model)):
-        v0, v1 = bit_amplitudes(a, params.gammas, params.betas)
-        v = v0 if bit == 0 else v1
-        mag2 = v.real * v.real + v.imag * v.imag
-        if mag2 == 0.0:
+    for q in qubit_probs(model, params).tolist():
+        if q == 0.0:
             return float("-inf")
-        total += math.log(mag2)
+        total += math.log(q)
     return total
 
 
 def prob_opt_batch(model: LinearIsing, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Vectorized prob_opt over a batch of angle schedules.
+    """prob_opt over a batch of angle schedules, bit for bit.
 
-    gammas and betas are (batch, p) arrays; returns a (batch,) array.
-    Same recurrence as the scalar path, run across the batch at once.
+    gammas and betas are (batch, p) arrays of finite angles; returns a
+    (batch,) array: qubit_kernel's terms multiplied in qubit order.
     """
     gammas = np.asarray(gammas, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -110,19 +166,9 @@ def prob_opt_batch(model: LinearIsing, gammas: np.ndarray, betas: np.ndarray) ->
         raise ValueError("gammas and betas must be (batch, p) arrays of equal shape")
     if gammas.shape[1] < 1:
         raise ValueError("need at least one layer")
-    coeffs = np.asarray(model.coeffs)[None, :]
-    bits = np.asarray(optimal_bits(model))[None, :]
-    z0 = np.full((gammas.shape[0], model.n), SQRT_HALF, dtype=complex)
-    z1 = z0.copy()
-    for j in range(gammas.shape[1]):
-        phase = np.exp(-1j * gammas[:, j : j + 1] * coeffs)
-        z0 = z0 * phase
-        z1 = z1 * phase.conj()
-        c = np.cos(betas[:, j : j + 1])
-        s = np.sin(betas[:, j : j + 1])
-        z0, z1 = c * z0 - 1j * s * z1, -1j * s * z0 + c * z1
-    amp = np.where(bits == 0, z0, z1)
-    return np.prod(amp.real**2 + amp.imag**2, axis=1)
+    if not (np.isfinite(gammas).all() and np.isfinite(betas).all()):
+        raise ValueError("rotation angle must be finite")
+    return np.multiply.reduce(qubit_kernel(model)(gammas, betas), axis=0)
 
 
 def prob_opt_replicated(base: LinearIsing, k: int, params: QaoaParams) -> float:

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from qaoa_linear.gates import (
     HADAMARD,
-    KET_ONE,
     KET_PLUS,
-    KET_ZERO,
     SQRT_HALF,
     amplitude_to_bit,
     apply,
@@ -20,6 +18,9 @@ from qaoa_linear.gates import (
     rx,
     rz,
 )
+
+KET_ZERO = np.array([1.0, 0.0], dtype=complex)
+KET_ONE = np.array([0.0, 1.0], dtype=complex)
 
 angles = st.floats(-20.0, 20.0, allow_nan=False)
 

@@ -4,23 +4,18 @@ Most tests run at reduced budgets; the full-budget numbers live in the
 acceptance suite.
 """
 
-import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qaoa_linear import optimizers
-from qaoa_linear.gates import SQRT_HALF
-from qaoa_linear.ising import LinearIsing, consecutive, optimal_bits, replicate
+from qaoa_linear.ising import LinearIsing, consecutive
 from qaoa_linear.optimizers import (
     METHODS,
     OptimizerSpec,
     _de_draws,
     _de_loop_draws,
-    _lockstep_objective,
     _make_rng,
     default_portfolio,
     gamma_period,
@@ -249,46 +244,6 @@ class TestGoldenTrajectories:
             (2.3561944874909324,),
         )
         assert result.evaluations_used == 16000
-
-
-def _scalar_reference(model: LinearIsing, p: int, x) -> float:
-    """The one-point recurrence that the lockstep objective replaced."""
-    total = 1.0
-    for a, bit in zip(model.coeffs, optimal_bits(model)):
-        v0 = complex(SQRT_HALF)
-        v1 = complex(SQRT_HALF)
-        for j in range(p):
-            ph = cmath.exp(-1j * x[j] * a)
-            v0 *= ph
-            v1 *= ph.conjugate()
-            c = math.cos(x[p + j])
-            s = math.sin(x[p + j])
-            v0, v1 = c * v0 - 1j * s * v1, -1j * s * v0 + c * v1
-        v = v0 if bit == 0 else v1
-        total *= v.real * v.real + v.imag * v.imag
-    return total
-
-
-_coefficients = st.floats(-6.0, 6.0, allow_nan=False).filter(lambda a: abs(a) > 1e-3)
-
-
-@st.composite
-def _models(draw):
-    base = LinearIsing(tuple(draw(st.lists(_coefficients, min_size=1, max_size=6))))
-    return replicate(base, draw(st.integers(1, 4)))
-
-
-class TestLockstepObjective:
-    @settings(max_examples=60, deadline=None)
-    @given(_models(), st.integers(1, 5), st.integers(1, 64), st.integers(0, 2**32 - 1))
-    def test_bitwise_equal_to_scalar_recurrence(self, model, p, batch, seed):
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(-7.0, 7.0, (batch, 2 * p))
-        values = _lockstep_objective(model, p)(xs)
-        expected = [_scalar_reference(model, p, x) for x in xs]
-        assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected]
-        direct = [prob_opt(model, QaoaParams(tuple(x[:p]), tuple(x[p:]))) for x in xs]
-        assert values.tolist() == direct
 
 
 def _philox_state(rng):

@@ -1,12 +1,16 @@
 """Product-formula probabilities against independent closed forms."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaoa_linear.errors import DegenerateProbabilityError
-from qaoa_linear.ising import LinearIsing, consecutive, replicate
+from qaoa_linear.gates import SQRT_HALF, bit_amplitudes
+from qaoa_linear.ising import LinearIsing, consecutive, optimal_bits, replicate
 from qaoa_linear.probability import (
     QaoaParams,
     exact_p1_m2_max,
@@ -16,8 +20,10 @@ from qaoa_linear.probability import (
     prob_opt,
     prob_opt_batch,
     prob_opt_replicated,
+    qubit_kernel,
     runtime_estimate,
 )
+from qaoa_linear.statevector import outcome_probability, run_ansatz
 
 
 def _p1_closed_form(model, gamma, beta):
@@ -112,7 +118,7 @@ class TestBatchKernel:
                 scalar = prob_opt(
                     model, QaoaParams(tuple(gs[row]), tuple(bs[row]))
                 )
-                assert abs(value - scalar) <= 1e-13
+                assert value.hex() == scalar.hex()
 
     def test_shape_validation(self):
         model = LinearIsing((1.0,))
@@ -120,6 +126,83 @@ class TestBatchKernel:
             prob_opt_batch(model, np.zeros((3, 2)), np.zeros((3, 1)))
         with pytest.raises(ValueError):
             prob_opt_batch(model, np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, bad):
+        model = LinearIsing((1.0, 2.0))
+        with pytest.raises(ValueError, match="finite"):
+            prob_opt_batch(model, [[bad]], [[0.1]])
+        with pytest.raises(ValueError, match="finite"):
+            prob_opt_batch(model, [[0.1], [0.2]], [[0.3], [bad]])
+
+
+def _scalar_reference(model: LinearIsing, p: int, x) -> float:
+    """prob_opt at one point, written out apart from the package's code."""
+    total = 1.0
+    for a, bit in zip(model.coeffs, optimal_bits(model)):
+        v0 = complex(SQRT_HALF)
+        v1 = complex(SQRT_HALF)
+        for j in range(p):
+            ph = cmath.exp(-1j * x[j] * a)
+            v0 *= ph
+            v1 *= ph.conjugate()
+            c = math.cos(x[p + j])
+            s = math.sin(x[p + j])
+            v0, v1 = c * v0 - 1j * s * v1, -1j * s * v0 + c * v1
+        v = v0 if bit == 0 else v1
+        total *= v.real * v.real + v.imag * v.imag
+    return total
+
+
+def _bit_mag2(model: LinearIsing, gammas, betas) -> list[float]:
+    """|<b_l|psi_l>|^2 per qubit from the scalar gates.bit_amplitudes."""
+    out = []
+    for a, bit in zip(model.coeffs, optimal_bits(model)):
+        v = bit_amplitudes(a, gammas, betas)[bit]
+        out.append(v.real * v.real + v.imag * v.imag)
+    return out
+
+
+_coefficients = st.floats(-6.0, 6.0, allow_nan=False).filter(lambda a: abs(a) > 1e-3)
+
+
+@st.composite
+def _models(draw, max_base=6, max_copies=4):
+    base = LinearIsing(tuple(draw(st.lists(_coefficients, min_size=1, max_size=max_base))))
+    return replicate(base, draw(st.integers(1, max_copies)))
+
+
+class TestQubitKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(_models(), st.integers(1, 5), st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_scalar_recurrence(self, model, p, batch, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-7.0, 7.0, (batch, 2 * p))
+        values = prob_opt_batch(model, xs[:, :p], xs[:, p:])
+        expected = [_scalar_reference(model, p, x) for x in xs]
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected]
+        direct = [prob_opt(model, QaoaParams(tuple(x[:p]), tuple(x[p:]))) for x in xs]
+        assert values.tolist() == direct
+        terms = qubit_kernel(model)(xs[:, :p], xs[:, p:])
+        assert terms.shape == (model.n, batch)
+        for row, x in enumerate(xs):
+            want = _bit_mag2(model, x[:p], x[p:])
+            assert [v.hex() for v in terms[:, row].tolist()] == [v.hex() for v in want]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        _models(max_base=5, max_copies=2), st.integers(1, 4), st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_statevector(self, model, p, batch, seed):
+        rng = np.random.default_rng(seed)
+        gs = rng.uniform(-4.0, 4.0, (batch, p))
+        bs = rng.uniform(-4.0, 4.0, (batch, p))
+        values = prob_opt_batch(model, gs, bs)
+        bits = optimal_bits(model)
+        for row in range(batch):
+            state = run_ansatz(model, QaoaParams(tuple(gs[row]), tuple(bs[row])))
+            assert abs(values[row] - outcome_probability(state, bits)) <= 1e-10
 
 
 class TestReplication:
@@ -165,6 +248,15 @@ class TestLogProb:
                 assert log_prob_opt(model, params) == pytest.approx(
                     math.log(value), abs=1e-9
                 )
+
+    def test_equals_sequential_sum_over_bit_amplitudes(self):
+        # mixed signs, replicated: 2100 terms summed left to right
+        model = replicate(LinearIsing((1.0, -2.5, 0.75, 3.0, -0.3, 1.7, -4.2)), 300)
+        params = QaoaParams((0.31, -1.2, 2.05), (0.83, 0.4, -1.9))
+        total = 0.0
+        for q in _bit_mag2(model, params.gammas, params.betas):
+            total += math.log(q)
+        assert log_prob_opt(model, params).hex() == total.hex()
 
     def test_survives_underflow_scale(self):
         # 50000 qubits at zero angles: prob_opt itself would underflow;
