@@ -1,10 +1,17 @@
 """Command-line workbench over the library.
 
-Every command prints its fully resolved configuration as "# key=value
-(source)" lines before any results, so a captured output identifies the
-run that produced it.  Results are flat key=value records; tables are
-CSV.  Exit status: 0 success, 1 failed check or refused computation,
-2 usage error, 3 I/O error.
+Each command declares its options once, in a table of Option entries
+(key, parse, default, help).  One entry builds the --key flag, parses
+the key's value in a --config file, and writes the "# key=value
+(source)" provenance line.  Values resolve flag > config > default; a
+config key that names no option of the command is a usage error.  An
+on/off option is a bare flag, and true or false in a config file.
+
+Every command prints its provenance lines, in table order, before any
+results, so a captured output identifies the run that produced it.
+Results are flat key=value records; tables are CSV.  Exit status: 0
+success, 1 failed check or refused computation, 2 usage error, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import argparse
 import math
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +47,6 @@ from .optimizers import (
     METHODS,
     OptimizerSpec,
     default_portfolio,
-    maximize,
     portfolio_maximize,
 )
 from .probability import (
@@ -59,8 +66,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A malformed or inconsistent command-line or config input (exit 2)."""
 
 
 _PI_RE = re.compile(
@@ -84,6 +91,8 @@ def parse_angle(text: str) -> float:
         value = c * math.pi
         den = m.group("den")
         if den:
+            if float(den) == 0.0:
+                raise UsageError(f"zero denominator in angle {text!r}")
             value /= float(den)
         return value
     try:
@@ -126,71 +135,70 @@ def _fmt(value) -> str:
     return str(value)
 
 
-class _Resolver:
-    """Merges flag > config > default, recording where each value came from."""
+class Option(NamedTuple):
+    """One command option: its --key flag, config key and provenance line."""
 
-    def __init__(self, config: dict[str, str], out):
-        self.config = dict(config)
-        self.out = out
-        self.lines: list[str] = []
+    key: str
+    parse: Callable[[str], object]
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
 
-    def get(self, key: str, flag_value, default, parse=None):
-        if flag_value is not None:
-            self.config.pop(key, None)
-            value, source = flag_value, "flag"
-        elif key in self.config:
-            raw = self.config.pop(key)
-            value = parse(raw) if parse is not None else raw
+
+def _on_off(raw: str) -> bool:
+    """Config value of an on/off option, whose flag takes no value."""
+    if raw not in ("true", "false"):
+        raise UsageError(f"expected true or false, got {raw!r}")
+    return raw == "true"
+
+
+def _resolve(ns) -> list[str]:
+    """Set each option of ns's command from its flag, else its config value, else its default.
+
+    Returns the provenance lines in table order.  A config key that names
+    no option of the command is a usage error.
+    """
+    config = load_config(ns.config) if ns.config else {}
+    provenance = []
+    for opt in ns.options:
+        dest = opt.key.replace("-", "_")
+        raw = config.pop(opt.key, None)
+        if getattr(ns, dest) is not None:
+            source = "flag"
+        elif raw is not None:
+            try:
+                value = opt.parse(raw)
+            except ValueError as exc:
+                raise UsageError(f"config {opt.key}: {exc}") from None
+            if opt.choices and value not in opt.choices:
+                raise UsageError(
+                    f"config {opt.key}: {raw!r} is not one of {', '.join(opt.choices)}"
+                )
+            setattr(ns, dest, value)
             source = "config"
         else:
-            value, source = default, "default"
-        self.lines.append(f"# {key}={_fmt(value)} ({source})")
-        return value
-
-    def emit(self):
-        if self.config:
-            stray = ", ".join(sorted(self.config))
-            raise UsageError(f"unknown config keys: {stray}")
-        for line in self.lines:
-            print(line, file=self.out)
+            setattr(ns, dest, opt.default)
+            source = "default"
+        provenance.append(f"# {opt.key}={_fmt(getattr(ns, dest))} ({source})")
+    if config:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(config))}")
+    return provenance
 
 
-def _parse_int(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"expected an integer, got {raw!r}") from None
-
-
-def _resolve_model(res: _Resolver, ns) -> LinearIsing:
-    model_text = res.get("model", getattr(ns, "model", None), None)
-    m_value = res.get("m", getattr(ns, "m", None), None, parse=_parse_int)
-    if model_text is not None and m_value is not None:
+def _model(ns) -> LinearIsing:
+    if ns.model is not None and ns.m is not None:
         raise UsageError("give either --model or --m, not both")
-    if model_text is not None:
-        try:
-            return parse_model(model_text)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if m_value is not None:
-        return consecutive(m_value)
+    if ns.model is not None:
+        return parse_model(ns.model)
+    if ns.m is not None:
+        return consecutive(ns.m)
     raise UsageError("a model is required: --model a1,a2,... or --m <size>")
 
 
-def _resolve_specs(res: _Resolver, ns):
-    method = res.get("method", getattr(ns, "method", None), "portfolio")
-    budget = res.get("budget", getattr(ns, "budget", None), DEFAULT_BUDGET, parse=_parse_int)
-    restarts = res.get(
-        "restarts", getattr(ns, "restarts", None), DEFAULT_RESTARTS, parse=_parse_int
-    )
-    seed = res.get("seed", getattr(ns, "seed", None), 1, parse=_parse_int)
-    if method == "portfolio":
-        return default_portfolio(seed=seed, budget=budget, restarts=restarts), seed
-    if method not in METHODS:
-        raise UsageError(
-            f"unknown method {method!r}; choose portfolio or one of {', '.join(METHODS)}"
-        )
-    return (OptimizerSpec(method, budget, seed, restarts),), seed
+def _specs(ns):
+    if ns.method == "portfolio":
+        return default_portfolio(seed=ns.seed, budget=ns.budget, restarts=ns.restarts)
+    return (OptimizerSpec(ns.method, ns.budget, ns.seed, ns.restarts),)
 
 
 def _write_text(path, text: str, out):
@@ -201,65 +209,41 @@ def _write_text(path, text: str, out):
         fh.write(text)
 
 
-def cmd_prob(ns) -> int:
-    config = load_config(ns.config) if ns.config else {}
-    res = _Resolver(config, sys.stdout)
-    model = _resolve_model(res, ns)
-    gammas = res.get("gamma", ns.gamma, None, parse=str)
-    betas = res.get("beta", ns.beta, None, parse=str)
-    want_log = res.get("log", ns.log or None, False)
-    if gammas is None or betas is None:
+def cmd_prob(ns, provenance) -> int:
+    model = _model(ns)
+    if ns.gamma is None or ns.beta is None:
         raise UsageError("prob needs --gamma and --beta angle lists")
-    params = QaoaParams(parse_angle_list(gammas), parse_angle_list(betas))
-    res.emit()
+    params = QaoaParams(parse_angle_list(ns.gamma), parse_angle_list(ns.beta))
+    print(*provenance, sep="\n")
     print(f"prob_opt={prob_opt(model, params):.12g}")
-    if want_log:
+    if ns.log:
         print(f"log_prob_opt={log_prob_opt(model, params):.12g}")
     return EXIT_OK
 
 
-def _print_result(result):
+def cmd_optimize(ns, provenance) -> int:
+    model = _model(ns)
+    if ns.p is None:
+        raise UsageError("optimize needs --p (layer count)")
+    specs = _specs(ns)
+    print(*provenance, sep="\n")
+    result = portfolio_maximize(model, ns.p, specs)
     print(f"best_value={result.best_value:.12g}")
     print(f"best_gammas={_fmt(result.best_gammas)}")
     print(f"best_betas={_fmt(result.best_betas)}")
     print(f"method={result.method}")
     print(f"evaluations_used={result.evaluations_used}")
-
-
-def cmd_optimize(ns) -> int:
-    config = load_config(ns.config) if ns.config else {}
-    res = _Resolver(config, sys.stdout)
-    model = _resolve_model(res, ns)
-    p = res.get("p", ns.p, None, parse=_parse_int)
-    if p is None:
-        raise UsageError("optimize needs --p (layer count)")
-    specs, _ = _resolve_specs(res, ns)
-    res.emit()
-    result = portfolio_maximize(model, p, specs)
-    _print_result(result)
     return EXIT_OK
 
 
-def cmd_table(ns) -> int:
-    config = load_config(ns.config) if ns.config else {}
-    res = _Resolver(config, sys.stdout)
-    m_max = res.get("M", ns.M, None, parse=_parse_int)
-    p_max = res.get("P", ns.P, None, parse=_parse_int)
-    if m_max is None or p_max is None:
+def cmd_table(ns, provenance) -> int:
+    if ns.M is None or ns.P is None:
         raise UsageError("table needs --M and --P")
-    budget = res.get("budget", ns.budget, DEFAULT_BUDGET, parse=_parse_int)
-    restarts = res.get("restarts", ns.restarts, DEFAULT_RESTARTS, parse=_parse_int)
-    seed = res.get("seed", ns.seed, 1, parse=_parse_int)
-    fmt = res.get("format", ns.format, "csv")
-    out_path = res.get("out", ns.out, None)
-    if fmt not in ("csv", "structured"):
-        raise UsageError(f"format must be csv or structured, got {fmt!r}")
-    res.emit()
-    table = build_tables(
-        m_max, p_max, default_portfolio(seed=seed, budget=budget, restarts=restarts)
-    )
-    if fmt == "csv":
-        _write_text(out_path, table.to_csv(), sys.stdout)
+    specs = _specs(ns)
+    print(*provenance, sep="\n")
+    table = build_tables(ns.M, ns.P, specs)
+    if ns.format == "csv":
+        _write_text(ns.out, table.to_csv(), sys.stdout)
     else:
         lines = []
         for i, m in enumerate(table.m_values):
@@ -267,8 +251,8 @@ def cmd_table(ns) -> int:
                 lines.append(
                     f"m={m} p={p} prob={table.prob[i, j]:.6f} base={table.base[i, j]:.5f}"
                 )
-        _write_text(out_path, "\n".join(lines) + "\n", sys.stdout)
-    print(f"# cells={m_max * p_max}")
+        _write_text(ns.out, "\n".join(lines) + "\n", sys.stdout)
+    print(f"# cells={ns.M * ns.P}")
     for i, m in enumerate(table.m_values):
         for j, p in enumerate(table.p_values):
             if m > p and table.prob[i, j] >= 1.0 - 1e-4:
@@ -276,34 +260,26 @@ def cmd_table(ns) -> int:
     return EXIT_OK
 
 
-def cmd_sample(ns) -> int:
-    config = load_config(ns.config) if ns.config else {}
-    res = _Resolver(config, sys.stdout)
-    model = _resolve_model(res, ns)
-    runs = res.get("runs", ns.runs, None, parse=_parse_int)
-    if runs is None:
+def cmd_sample(ns, provenance) -> int:
+    model = _model(ns)
+    if ns.runs is None:
         raise UsageError("sample needs --runs")
-    auto = res.get("auto", ns.auto or None, False)
-    gammas = res.get("gamma", ns.gamma, None, parse=str)
-    betas = res.get("beta", ns.beta, None, parse=str)
-    p = res.get("p", ns.p, None, parse=_parse_int)
-    specs, seed = _resolve_specs(res, ns)
-    out_path = res.get("out", ns.out, None)
-    check_sampling_request(runs, model.n)
-    if auto:
-        if gammas is not None or betas is not None:
+    specs = _specs(ns)
+    check_sampling_request(ns.runs, model.n)
+    if ns.auto:
+        if ns.gamma is not None or ns.beta is not None:
             raise UsageError("--auto replaces --gamma/--beta; give one or the other")
-        if p is None:
+        if ns.p is None:
             raise UsageError("--auto needs --p")
-        res.emit()
-        best = portfolio_maximize(model, p, specs)
+        print(*provenance, sep="\n")
+        best = portfolio_maximize(model, ns.p, specs)
         params = QaoaParams(best.best_gammas, best.best_betas)
     else:
-        if gammas is None or betas is None:
+        if ns.gamma is None or ns.beta is None:
             raise UsageError("sample needs --gamma and --beta, or --auto with --p")
-        params = QaoaParams(parse_angle_list(gammas), parse_angle_list(betas))
-        res.emit()
-    report = sample_until_optimum(model, params, runs, seed=seed)
+        params = QaoaParams(parse_angle_list(ns.gamma), parse_angle_list(ns.beta))
+        print(*provenance, sep="\n")
+    report = sample_until_optimum(model, params, ns.runs, seed=ns.seed)
     doc = "\n".join(
         [
             f"model={format_model(report.model)}",
@@ -316,39 +292,26 @@ def cmd_sample(ns) -> int:
         ]
     ) + "\n"
     print(doc, end="")
-    if out_path is not None:
-        _write_text(out_path, doc, sys.stdout)
+    if ns.out is not None:
+        _write_text(ns.out, doc, sys.stdout)
     return EXIT_OK
 
 
-def cmd_emit_circuit(ns) -> int:
-    config = load_config(ns.config) if ns.config else {}
-    res = _Resolver(config, sys.stdout)
-    model = _resolve_model(res, ns)
-    width = res.get("width", ns.width, None, parse=_parse_int)
-    out_path = res.get("out", ns.out, None)
-    if width is None:
+def cmd_emit_circuit(ns, provenance) -> int:
+    model = _model(ns)
+    if ns.width is None:
         raise UsageError("emit-circuit needs --width")
-    res.emit()
-    try:
-        text = emit_linear_solver_circuit(model, width)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    _write_text(out_path, text, sys.stdout)
+    print(*provenance, sep="\n")
+    _write_text(ns.out, emit_linear_solver_circuit(model, ns.width), sys.stdout)
     return EXIT_OK
 
 
-def cmd_scan(ns) -> int:
-    config = load_config(ns.config) if ns.config else {}
-    res = _Resolver(config, sys.stdout)
-    p = res.get("p", ns.p, None, parse=_parse_int)
-    m_max = res.get("m-max", ns.m_max, None, parse=_parse_int)
-    if p is None or m_max is None:
+def cmd_scan(ns, provenance) -> int:
+    if ns.p is None or ns.m_max is None:
         raise UsageError("scan needs --p and --m-max")
-    tol = res.get("tol", ns.tol, 1e-4, parse=float)
-    specs, _ = _resolve_specs(res, ns)
-    res.emit()
-    entries = conjecture_scan(p, m_max, specs, tol=tol)
+    specs = _specs(ns)
+    print(*provenance, sep="\n")
+    entries = conjecture_scan(ns.p, ns.m_max, specs, tol=ns.tol)
     anomalies = 0
     for e in entries:
         print(
@@ -438,19 +401,69 @@ def _verify_checks(seed: int):
     )
 
 
-def cmd_verify(ns) -> int:
-    config = load_config(ns.config) if ns.config else {}
-    res = _Resolver(config, sys.stdout)
-    seed = res.get("seed", ns.seed, 1, parse=_parse_int)
-    res.emit()
+def cmd_verify(ns, provenance) -> int:
+    print(*provenance, sep="\n")
     failures = 0
     total = 0
-    for name, ok, detail in _verify_checks(seed):
+    for name, ok, detail in _verify_checks(ns.seed):
         total += 1
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     print(f"# checks={total} failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_CHECK
+
+
+_MODEL = (
+    Option("model", str, help="comma-separated coefficients, e.g. 1,2,3"),
+    Option("m", int, help="shorthand for the model 1,2,...,m"),
+)
+_OPTIMIZER = (
+    Option("method", str, "portfolio", choices=("portfolio",) + METHODS),
+    Option("budget", int, DEFAULT_BUDGET, "objective evaluations per restart"),
+    Option("restarts", int, DEFAULT_RESTARTS),
+    Option("seed", int, 1),
+)
+_ANGLES = "comma-separated angles; pi fractions allowed"
+
+# (name, command, help, options); each table's order is its provenance order.
+_COMMANDS = (
+    ("prob", cmd_prob, "success probability at given angles", _MODEL + (
+        Option("gamma", str, help=_ANGLES),
+        Option("beta", str, help=_ANGLES),
+        Option("log", _on_off, False, "also print the natural log"),
+    )),
+    ("optimize", cmd_optimize, "maximize the success probability", _MODEL + (
+        Option("p", int, help="layer count"),
+    ) + _OPTIMIZER),
+    ("table", cmd_table, "probability/base grid over m and p", (
+        Option("M", int, help="largest model size"),
+        Option("P", int, help="largest layer count"),
+    ) + _OPTIMIZER + (
+        Option("format", str, "csv", choices=("csv", "structured")),
+        Option("out", str, help="output path; stdout when omitted"),
+    )),
+    ("sample", cmd_sample, "trials-to-optimum sampling experiment", _MODEL + (
+        Option("runs", int),
+        Option("auto", _on_off, False, "optimize angles first"),
+        Option("gamma", str),
+        Option("beta", str),
+        Option("p", int, help="layer count for --auto"),
+    ) + _OPTIMIZER + (
+        Option("out", str, help="also write the report to this path"),
+    )),
+    ("emit-circuit", cmd_emit_circuit, "classical sign-reading circuit text", _MODEL + (
+        Option("width", int, help="two's complement register width"),
+        Option("out", str, help="output path; stdout when omitted"),
+    )),
+    ("verify", cmd_verify, "closed-form identity checks", (
+        Option("seed", int, 1),
+    )),
+    ("scan", cmd_scan, "perfect-recovery scan over model size", (
+        Option("p", int),
+        Option("m-max", int),
+        Option("tol", float, 1e-4),
+    ) + _OPTIMIZER),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,76 +472,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Success-probability workbench for the layered ansatz on linear models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p_):
+    for name, func, help_, options in _COMMANDS:
+        p_ = sub.add_parser(name, help=help_)
         p_.add_argument("--config", help="key=value config file; flags override it")
-
-    def add_model(p_):
-        p_.add_argument("--model", help="comma-separated coefficients, e.g. 1,2,3")
-        p_.add_argument("--m", type=int, help="shorthand for the model 1,2,...,m")
-
-    def add_opt(p_):
-        p_.add_argument("--method", choices=("portfolio",) + METHODS)
-        p_.add_argument("--budget", type=int, help="objective evaluations per restart")
-        p_.add_argument("--restarts", type=int)
-        p_.add_argument("--seed", type=int)
-
-    p_prob = sub.add_parser("prob", help="success probability at given angles")
-    add_common(p_prob)
-    add_model(p_prob)
-    p_prob.add_argument("--gamma", help="comma-separated angles; pi fractions allowed")
-    p_prob.add_argument("--beta", help="comma-separated angles; pi fractions allowed")
-    p_prob.add_argument("--log", action="store_true", help="also print the natural log")
-    p_prob.set_defaults(func=cmd_prob)
-
-    p_opt = sub.add_parser("optimize", help="maximize the success probability")
-    add_common(p_opt)
-    add_model(p_opt)
-    p_opt.add_argument("--p", type=int, help="layer count")
-    add_opt(p_opt)
-    p_opt.set_defaults(func=cmd_optimize)
-
-    p_table = sub.add_parser("table", help="probability/base grid over m and p")
-    add_common(p_table)
-    p_table.add_argument("--M", type=int, help="largest model size")
-    p_table.add_argument("--P", type=int, help="largest layer count")
-    add_opt(p_table)
-    p_table.add_argument("--format", choices=("csv", "structured"))
-    p_table.add_argument("--out", help="output path; stdout when omitted")
-    p_table.set_defaults(func=cmd_table)
-
-    p_sample = sub.add_parser("sample", help="trials-to-optimum sampling experiment")
-    add_common(p_sample)
-    add_model(p_sample)
-    p_sample.add_argument("--gamma")
-    p_sample.add_argument("--beta")
-    p_sample.add_argument("--p", type=int, help="layer count for --auto")
-    p_sample.add_argument("--auto", action="store_true", help="optimize angles first")
-    p_sample.add_argument("--runs", type=int)
-    add_opt(p_sample)
-    p_sample.add_argument("--out", help="also write the report to this path")
-    p_sample.set_defaults(func=cmd_sample)
-
-    p_emit = sub.add_parser("emit-circuit", help="classical sign-reading circuit text")
-    add_common(p_emit)
-    add_model(p_emit)
-    p_emit.add_argument("--width", type=int, help="two's complement register width")
-    p_emit.add_argument("--out", help="output path; stdout when omitted")
-    p_emit.set_defaults(func=cmd_emit_circuit)
-
-    p_verify = sub.add_parser("verify", help="closed-form identity checks")
-    add_common(p_verify)
-    p_verify.add_argument("--seed", type=int)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_scan = sub.add_parser("scan", help="perfect-recovery scan over model size")
-    add_common(p_scan)
-    p_scan.add_argument("--p", type=int)
-    p_scan.add_argument("--m-max", type=int)
-    p_scan.add_argument("--tol", type=float)
-    add_opt(p_scan)
-    p_scan.set_defaults(func=cmd_scan)
-
+        for opt in options:
+            if opt.parse is _on_off:
+                p_.add_argument(
+                    f"--{opt.key}", action="store_true", default=None, help=opt.help
+                )
+            else:
+                p_.add_argument(
+                    f"--{opt.key}", type=opt.parse, choices=opt.choices, help=opt.help
+                )
+        p_.set_defaults(func=func, options=options)
     return parser
 
 
@@ -539,10 +495,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return ns.func(ns)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        provenance = _resolve(ns)
+        return ns.func(ns, provenance)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

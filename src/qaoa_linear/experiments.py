@@ -64,6 +64,19 @@ class ProbTable:
         return "\n".join(lines) + "\n"
 
 
+def _specs_or_default(specs) -> tuple[OptimizerSpec, ...]:
+    specs = tuple(specs) if specs is not None else default_portfolio()
+    if not specs:
+        raise ValueError("need at least one OptimizerSpec")
+    return specs
+
+
+def _best_at_cell(m: int, p: int, specs) -> float:
+    """Best value of the portfolio on (1..m) at p layers, each spec reseeded for the cell."""
+    cell_specs = tuple(replace(s, seed=cell_seed(s.seed, m, p)) for s in specs)
+    return portfolio_maximize(consecutive(m), p, cell_specs).best_value
+
+
 def build_tables(m_max: int, p_max: int, specs=None) -> ProbTable:
     """Optimize every (m, p) cell for the models (1..m), m <= m_max.
 
@@ -74,17 +87,10 @@ def build_tables(m_max: int, p_max: int, specs=None) -> ProbTable:
         raise ValueError(f"m_max must be a positive integer, got {m_max!r}")
     if not isinstance(p_max, int) or p_max < 1:
         raise ValueError(f"p_max must be a positive integer, got {p_max!r}")
-    specs = tuple(specs) if specs is not None else default_portfolio()
-    if not specs:
-        raise ValueError("need at least one OptimizerSpec")
+    specs = _specs_or_default(specs)
     m_values = tuple(range(1, m_max + 1))
     p_values = tuple(range(1, p_max + 1))
-
-    def run_cell(m, p):
-        cell_specs = tuple(replace(s, seed=cell_seed(s.seed, m, p)) for s in specs)
-        return portfolio_maximize(consecutive(m), p, cell_specs).best_value
-
-    flat = [run_cell(m, p) for m in m_values for p in p_values]
+    flat = [_best_at_cell(m, p, specs) for m in m_values for p in p_values]
     prob = np.array(flat, dtype=float).reshape(len(m_values), len(p_values))
     base = np.empty_like(prob)
     for i, m in enumerate(m_values):
@@ -188,20 +194,12 @@ def conjecture_scan(p: int, m_max: int, specs=None, tol: float = 1e-4):
         raise ValueError(f"m_max must be a positive integer, got {m_max!r}")
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
-    specs = tuple(specs) if specs is not None else default_portfolio()
-    if not specs:
-        raise ValueError("need at least one OptimizerSpec")
+    specs = _specs_or_default(specs)
     entries = []
     for m in range(1, m_max + 1):
-        cell_specs = tuple(replace(s, seed=cell_seed(s.seed, m, p)) for s in specs)
-        result = portfolio_maximize(consecutive(m), p, cell_specs)
-        below = result.best_value < 1.0 - tol
+        best = _best_at_cell(m, p, specs)
+        below = best < 1.0 - tol
         entries.append(
-            ScanEntry(
-                m=m,
-                best_prob=result.best_value,
-                below_one=below,
-                anomaly=(not below) and m > p,
-            )
+            ScanEntry(m=m, best_prob=best, below_one=below, anomaly=(not below) and m > p)
         )
     return tuple(entries)

@@ -6,6 +6,8 @@ import pytest
 
 from qaoa_linear import cli
 from qaoa_linear.circuit import interpret_circuit
+from qaoa_linear.experiments import build_tables
+from qaoa_linear.optimizers import OptimizerSpec
 from qaoa_linear.cli import (
     EXIT_CHECK,
     EXIT_IO,
@@ -53,7 +55,9 @@ class TestParseAngle:
     def test_accepted_forms(self, text, expected):
         assert parse_angle(text) == pytest.approx(expected, abs=1e-15)
 
-    @pytest.mark.parametrize("bad", ["", "pie", "pi/", "x", "1..2", "pi/pi"])
+    @pytest.mark.parametrize(
+        "bad", ["", "pie", "pi/", "x", "1..2", "pi/pi", "pi/0", "3pi/0.0", "0pi/0"]
+    )
     def test_rejected_forms(self, bad):
         with pytest.raises(UsageError):
             parse_angle(bad)
@@ -114,6 +118,11 @@ class TestProb:
             capsys, "prob", "--model", "1", "--gamma", "0,0", "--beta", "0"
         )
         assert code == EXIT_USAGE
+
+    def test_zero_denominator_usage_error(self, capsys):
+        code, _, err = run(capsys, "prob", "--model", "1", "--gamma", "pi/0", "--beta", "0")
+        assert code == EXIT_USAGE
+        assert "pi/0" in err
 
     def test_model_and_m_conflict(self, capsys):
         code, _, _ = run(
@@ -191,6 +200,27 @@ class TestTable:
         )
         assert code == EXIT_IO
         assert "io error" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_method_honoured(self, capsys, monkeypatch, tmp_path, source):
+        received = []
+
+        def build(m_max, p_max, specs):
+            received.append(tuple(specs))
+            return build_tables(m_max, p_max, specs)
+
+        monkeypatch.setattr(cli, "build_tables", build)
+        args = ["table", "--M", "1", "--P", "1", "--budget", "100", "--restarts", "1"]
+        if source == "flag":
+            args += ["--method", "random-search"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("method=random-search\n")
+            args += ["--config", str(cfg)]
+        code, out, _ = run(capsys, *args)
+        assert code == EXIT_OK
+        assert f"# method=random-search ({source})" in out
+        assert received == [(OptimizerSpec("random-search", 100, 1, 1),)]
 
     def test_missing_dimensions_usage_error(self, capsys):
         code, _, _ = run(capsys, "table", "--M", "2")
@@ -335,6 +365,33 @@ class TestConfigFile:
         code, _, err = run(capsys, "prob", "--config", str(cfg))
         assert code == EXIT_USAGE
         assert "bananas" in err
+
+    def test_log_false_prints_no_log(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=1,2\ngamma=0\nbeta=0\nlog=false\n")
+        code, out, _ = run(capsys, "prob", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert "# log=false (config)" in out
+        assert "log_prob_opt" not in out
+
+    def test_auto_false_samples_at_given_angles(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("auto=false\n")
+        code, out, _ = run(
+            capsys,
+            "sample", "--config", str(cfg), "--model", "1",
+            "--gamma", "pi/4", "--beta", "pi/4", "--runs", "5",
+        )
+        assert code == EXIT_OK
+        assert "# auto=false (config)" in out
+        assert float(value_of(out, "gammas")) == pytest.approx(math.pi / 4)
+
+    def test_on_off_value_must_be_true_or_false(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=1,2\ngamma=0\nbeta=0\nlog=yes\n")
+        code, _, err = run(capsys, "prob", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "'yes'" in err
 
     def test_missing_config_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "prob", "--config", str(tmp_path / "absent.cfg"))

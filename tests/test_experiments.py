@@ -139,11 +139,14 @@ class TestConjectureScan:
         assert entries[1].below_one is False
         assert entries[1].anomaly is True
 
-    def test_uses_same_seeds_as_tables(self):
-        entries = conjecture_scan(1, 2, LEAN_SPECS)
-        table = build_tables(2, 1, LEAN_SPECS)
-        assert entries[0].best_prob == table.prob_at(1, 1)
-        assert entries[1].best_prob == table.prob_at(2, 1)
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_uses_same_seeds_as_tables(self, p):
+        specs = default_portfolio(seed=3, budget=200, restarts=1)
+        table = build_tables(3, 2, specs)
+        entries = conjecture_scan(p, 3, specs)
+        assert [e.best_prob.hex() for e in entries] == [
+            table.prob_at(m, p).hex() for m in (1, 2, 3)
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
