@@ -292,7 +292,7 @@ def cmd_sample(ns, provenance) -> int:
         ]
     ) + "\n"
     print(doc, end="")
-    if ns.out is not None:
+    if ns.out not in (None, "-"):
         _write_text(ns.out, doc, sys.stdout)
     return EXIT_OK
 

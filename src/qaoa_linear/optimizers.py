@@ -10,12 +10,15 @@ seed.  Budgets count objective evaluations, nothing else.
 All four methods score points through one objective, built once per
 maximize call over probability.qubit_kernel, which repeats the float
 operations of gates.bit_amplitudes: every value is prob_opt's, bit for
-bit.  Nelder-Mead and annealing propose one point at a time.  Each of
-their restarts is a generator that yields the point it wants scored and
-receives its value, and all restarts of one method advance in lockstep:
-one objective call scores the pending point of every restart.  Each
-restart keeps its own stream, budget and running best, so the results
-are bit for bit those of running the restarts one after another.
+bit.  Every restart of every method spends exactly its budget.
+
+Nelder-Mead and annealing propose one point at a time.  Each of their
+restarts is an endless generator that yields the point it wants scored,
+receives its value and never sees the budget.  All restarts of one
+method advance in lockstep, one objective call scoring the pending point
+of every restart, and stop together after `budget` steps.  Each restart
+keeps its own stream and running best, so the results are bit for bit
+those of running the restarts one after another.
 
 Differential evolution draws each generation's mutation indices and
 crossover masks from one block of raw Philox words and decodes them with
@@ -31,8 +34,9 @@ internals.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -70,7 +74,8 @@ _RS_CHUNK = 512
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """One method's configuration; budget is per restart."""
+    """One method's configuration; budget is per restart, and every
+    restart spends all of it: evaluations_used = restarts x budget."""
 
     method: str
     budget: int = DEFAULT_BUDGET
@@ -139,47 +144,15 @@ def _make_rng(seed: int, method_id: int, restart: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _Tracker:
-    """Running best across evaluations, with the consumed-eval count."""
+def _nelder_mead(rng, hi):
+    """Downhill simplex (maximizing), restarted on collapse.
 
-    __slots__ = ("best_value", "best_x", "used")
-
-    def __init__(self):
-        self.best_value = -math.inf
-        self.best_x = None
-        self.used = 0
-
-    def offer(self, x, value: float):
-        self.used += 1
-        if value > self.best_value:
-            self.best_value = value
-            self.best_x = np.array(x, dtype=float, copy=True)
-
-    def offer_batch(self, xs: np.ndarray, values: np.ndarray):
-        self.used += len(values)
-        i = int(np.argmax(values))
-        if values[i] > self.best_value:
-            self.best_value = float(values[i])
-            self.best_x = np.array(xs[i], dtype=float, copy=True)
-
-    def merge(self, other: "_Tracker"):
-        """Fold in a later restart's tracker; ties keep the earlier best."""
-        self.used += other.used
-        if other.best_value > self.best_value:
-            self.best_value = other.best_value
-            self.best_x = other.best_x
-
-
-def _run_nelder_mead(rng, hi, budget, track):
-    """Downhill simplex (maximizing), restarted on collapse within budget.
-
-    A generator: yields each point to score and receives its value.
+    An endless generator: yields each point to score and receives its
+    value.  The caller stops it after its budget.
     """
     dim = hi.size
     refl, expa, contr, shrink = _NM_COEFFS
-    start = track.used
-    while track.used - start < budget:
-        left = budget - (track.used - start)
+    while True:
         x0 = rng.uniform(0.0, hi)
         verts = [x0]
         for i in range(dim):
@@ -187,15 +160,11 @@ def _run_nelder_mead(rng, hi, budget, track):
             v[i] += _NM_EDGE
             verts.append(v)
         vals = []
-        for v in verts[: min(len(verts), left)]:
-            fv = yield v
-            track.offer(v, fv)
-            vals.append(fv)
-        if len(vals) < len(verts):
-            return
+        for v in verts:
+            vals.append((yield v))
         verts = np.array(verts)
         vals = np.array(vals)
-        while track.used - start < budget:
+        while True:
             order = np.argsort(-vals)
             verts = verts[order]
             vals = vals[order]
@@ -205,19 +174,13 @@ def _run_nelder_mead(rng, hi, budget, track):
             span = centroid - verts[-1]
             xr = centroid + refl * span
             fr = yield xr
-            track.offer(xr, fr)
-            if track.used - start >= budget:
-                return
             if fr > vals[0]:
                 xe = centroid + expa * span
                 fe = yield xe
-                track.offer(xe, fe)
                 if fe > fr:
                     verts[-1], vals[-1] = xe, fe
                 else:
                     verts[-1], vals[-1] = xr, fr
-                if track.used - start >= budget:
-                    return
             elif fr > vals[-2]:
                 verts[-1], vals[-1] = xr, fr
             else:
@@ -226,22 +189,15 @@ def _run_nelder_mead(rng, hi, budget, track):
                 else:
                     xc = centroid - contr * span
                 fc = yield xc
-                track.offer(xc, fc)
-                if track.used - start >= budget:
-                    return
                 if fc > max(fr, vals[-1]):
                     verts[-1], vals[-1] = xc, fc
                 else:
                     for i in range(1, len(verts)):
                         verts[i] = verts[0] + shrink * (verts[i] - verts[0])
-                        fv = yield verts[i]
-                        track.offer(verts[i], fv)
-                        vals[i] = fv
-                        if track.used - start >= budget:
-                            return
+                        vals[i] = yield verts[i]
 
 
-def _run_simulated_annealing(rng, hi, budget, track):
+def _simulated_annealing(rng, hi):
     """Gaussian-proposal annealing with wrap-around into the box.
 
     Step size and temperature cool geometrically over a fixed 500-step
@@ -249,18 +205,16 @@ def _run_simulated_annealing(rng, hi, budget, track):
     has seen.  The schedule depends only on the step index, never on the
     requested budget, so shorter runs are exact prefixes of longer runs
     with the same seed; one complete cycle is enough to refine a basin
-    to roughly the final step size.  A generator, like _run_nelder_mead.
+    to roughly the final step size.  An endless generator, like
+    _nelder_mead.
     """
     steps = _SA_CYCLE - 1
     sig_rate = (_SA_SIGMA[1] / _SA_SIGMA[0]) ** (1.0 / steps)
     t_rate = (_SA_TEMP[1] / _SA_TEMP[0]) ** (1.0 / steps)
-    start = track.used
     x = rng.uniform(0.0, hi)
     fx = yield x
-    track.offer(x, fx)
     best_x, best_f = x, fx
-    k = 0
-    while track.used - start < budget:
+    for k in itertools.count():
         j = k % _SA_CYCLE
         if j == 0 and k:
             x, fx = best_x, best_f
@@ -268,12 +222,10 @@ def _run_simulated_annealing(rng, hi, budget, track):
         temp = _SA_TEMP[0] * t_rate**j
         cand = (x + rng.normal(0.0, sigma, hi.size)) % hi
         fc = yield cand
-        track.offer(cand, fc)
         if fc >= fx or rng.random() < math.exp((fc - fx) / temp):
             x, fx = cand, fc
         if fc > best_f:
             best_x, best_f = cand, fc
-        k += 1
 
 
 def _de_loop_draws(rng, m, pop_size, dim):
@@ -337,92 +289,88 @@ def _de_draws(rng, m, pop_size, dim):
     return _de_loop_draws(rng, m, pop_size, dim)
 
 
-def _run_differential_evolution(fbatch, rng, hi, budget, track):
-    """rand/1/bin with F = 0.7, CR = 0.9, trial points clipped to the box."""
+def _keep_best(best, xs, vals):
+    """best, or (value, point) of the first maximum of vals if it beats best."""
+    i = int(np.argmax(vals))
+    if vals[i] > best[0]:
+        return float(vals[i]), xs[i].copy()
+    return best
+
+
+def _differential_evolution(fbatch, rng, hi, budget):
+    """rand/1/bin with F = 0.7, CR = 0.9, trial points clipped to the box.
+
+    The first population and the last generation are cut to the budget.
+    Returns the best (value, point).
+    """
     dim = hi.size
     pop_size = _DE_POP_PER_DIM * dim
-    start = track.used
     pop = rng.uniform(0.0, hi, (pop_size, dim))
-    first = min(pop_size, budget)
-    vals = fbatch(pop[:first])
-    track.offer_batch(pop[:first], vals)
-    if first < pop_size:
-        return
-    while track.used - start < budget:
-        m = min(pop_size, budget - (track.used - start))
+    vals = fbatch(pop[:budget])
+    best = _keep_best((-math.inf, None), pop, vals)
+    for used in range(pop_size, budget, pop_size):
+        m = min(pop_size, budget - used)
         idx, mask = _de_draws(rng, m, pop_size, dim)
         idx += idx >= np.arange(m)[:, None]  # never pick the parent
         mutant = pop[idx[:, 0]] + _DE_WEIGHT * (pop[idx[:, 1]] - pop[idx[:, 2]])
         trials = np.where(mask, np.clip(mutant, 0.0, hi), pop[:m])
         trial_vals = fbatch(trials)
-        track.offer_batch(trials, trial_vals)
+        best = _keep_best(best, trials, trial_vals)
         better = trial_vals > vals[:m]
         pop[:m][better] = trials[better]
         vals[:m][better] = trial_vals[better]
+    return best
 
 
-def _run_random_search(fbatch, rng, hi, budget, track):
-    """Uniform sampling of the box, evaluated in chunks."""
-    dim = hi.size
-    start = track.used
-    while track.used - start < budget:
-        m = min(_RS_CHUNK, budget - (track.used - start))
-        xs = rng.uniform(0.0, hi, (m, dim))
-        track.offer_batch(xs, fbatch(xs))
+def _random_search(fbatch, rng, hi, budget):
+    """Uniform sampling of the box, evaluated in chunks; returns the best
+    (value, point)."""
+    best = (-math.inf, None)
+    for used in range(0, budget, _RS_CHUNK):
+        xs = rng.uniform(0.0, hi, (min(_RS_CHUNK, budget - used), hi.size))
+        best = _keep_best(best, xs, fbatch(xs))
+    return best
 
 
-_LOCKSTEP = {0: _run_nelder_mead, 2: _run_simulated_annealing}
-_BATCHED = {1: _run_differential_evolution, 3: _run_random_search}
+_LOCKSTEP = {0: _nelder_mead, 2: _simulated_annealing}
+_BATCHED = {1: _differential_evolution, 3: _random_search}
 
 
 def _run_lockstep(runner, fbatch, spec: OptimizerSpec, hi):
     """Advance every restart of a point-at-a-time method together.
 
-    Each step scores the pending point of every live restart in one
-    objective call and sends each restart its value.  Returns the
-    restarts' trackers in restart order.
+    Runs exactly spec.budget steps.  Each step scores the pending point
+    of every restart in one objective call and sends each restart its
+    value.  Returns each restart's best value and point, as two arrays
+    in restart order; a strict > keeps a restart's earliest best.
     """
     method_id = _METHOD_IDS[spec.method]
-    trackers = [_Tracker() for _ in range(spec.restarts)]
-    live = [
-        runner(_make_rng(spec.seed, method_id, restart), hi, spec.budget, track)
-        for restart, track in enumerate(trackers)
+    restarts = [
+        runner(_make_rng(spec.seed, method_id, restart), hi)
+        for restart in range(spec.restarts)
     ]
-    values = [None] * len(live)
-    while live:
-        moving, points = [], []
-        for restart, value in zip(live, values):
-            try:
-                points.append(restart.send(value))
-            except StopIteration:
-                continue
-            moving.append(restart)
-        live = moving
-        if live:
-            values = fbatch(np.array(points)).tolist()
-    return trackers
+    points = np.array([next(restart) for restart in restarts])
+    best_vals = np.full(spec.restarts, -math.inf)
+    best_xs = points.copy()
+    for step in range(spec.budget):
+        if step:
+            points = np.array([r.send(v) for r, v in zip(restarts, values.tolist())])
+        values = fbatch(points)
+        better = values > best_vals
+        if better.any():  # cheaper than two masked copies on most steps
+            best_vals[better] = values[better]
+            best_xs[better] = points[better]
+    return best_vals, best_xs
 
 
-def _gamma_box(model: LinearIsing, gamma_max) -> float:
-    if gamma_max is not None:
-        g = float(gamma_max)
-        if not math.isfinite(g) or g <= 0.0:
-            raise ValueError(f"gamma_max must be positive and finite, got {gamma_max!r}")
-        return g
-    period = gamma_period(model)
-    # Unknown period: search two full 2*pi turns' worth of nothing -- just
-    # a heuristic box; callers can widen via gamma_max.
-    return period if period is not None else 2.0 * math.pi
-
-
-def maximize(
-    model: LinearIsing, p: int, spec: OptimizerSpec, gamma_max=None
-) -> OptimizationResult:
+def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationResult:
     """Run one method over the angle box and return its best point.
 
     The box is [0, G)^p x [0, pi)^p with G the model's gamma period when
-    known (pi for integer coefficients); the landscape is periodic in
-    every coordinate, so the box covers all attainable values.  The
+    known (pi for integer coefficients), else 2*pi; the landscape is
+    periodic in every coordinate, so with a known period the box covers
+    all attainable values.  Every restart spends exactly spec.budget
+    evaluations, and ties between restarts keep the earliest.  The
     reported best_value is re-evaluated through prob_opt at the returned
     angles.  Nelder-Mead starts inside the box but is not confined to it
     (reflection can step out); reported angles are then equivalent to an
@@ -431,50 +379,39 @@ def maximize(
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"layer count must be a positive integer, got {p!r}")
     method_id = _METHOD_IDS[spec.method]
-    hi = np.array([_gamma_box(model, gamma_max)] * p + [math.pi] * p)
+    period = gamma_period(model)
+    gamma_box = period if period is not None else 2.0 * math.pi
+    hi = np.array([gamma_box] * p + [math.pi] * p)
     kernel = qubit_kernel(model)
 
     def objective(xs: np.ndarray) -> np.ndarray:
         return np.multiply.reduce(kernel(xs[:, :p], xs[:, p:]), axis=0)
 
-    track = _Tracker()
     if method_id in _LOCKSTEP:
-        for restart_track in _run_lockstep(_LOCKSTEP[method_id], objective, spec, hi):
-            track.merge(restart_track)
+        values, points = _run_lockstep(_LOCKSTEP[method_id], objective, spec, hi)
     else:
         runner = _BATCHED[method_id]
-        for restart in range(spec.restarts):
-            rng = _make_rng(spec.seed, method_id, restart)
-            runner(objective, rng, hi, spec.budget, track)
-    best = track.best_x
+        values, points = zip(*(
+            runner(objective, _make_rng(spec.seed, method_id, restart), hi, spec.budget)
+            for restart in range(spec.restarts)
+        ))
+    best = points[int(np.argmax(values))]
     params = QaoaParams(tuple(best[:p]), tuple(best[p:]))
     return OptimizationResult(
         best_value=prob_opt(model, params),
         best_gammas=params.gammas,
         best_betas=params.betas,
-        evaluations_used=track.used,
+        evaluations_used=spec.restarts * spec.budget,
         method=spec.method,
     )
 
 
-def portfolio_maximize(
-    model: LinearIsing, p: int, specs, gamma_max=None
-) -> OptimizationResult:
-    """Best result across several specs; ties keep the earliest spec."""
+def portfolio_maximize(model: LinearIsing, p: int, specs) -> OptimizationResult:
+    """Best result across several specs, ties keeping the earliest spec;
+    its evaluations_used is the sum over the specs."""
     specs = tuple(specs)
     if not specs:
         raise ValueError("portfolio needs at least one OptimizerSpec")
-    best = None
-    total = 0
-    for spec in specs:
-        result = maximize(model, p, spec, gamma_max=gamma_max)
-        total += result.evaluations_used
-        if best is None or result.best_value > best.best_value:
-            best = result
-    return OptimizationResult(
-        best_value=best.best_value,
-        best_gammas=best.best_gammas,
-        best_betas=best.best_betas,
-        evaluations_used=total,
-        method=best.method,
-    )
+    results = [maximize(model, p, spec) for spec in specs]
+    best = max(results, key=lambda result: result.best_value)  # first of equals
+    return replace(best, evaluations_used=sum(r.evaluations_used for r in results))

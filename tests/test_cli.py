@@ -288,6 +288,15 @@ class TestSample:
         assert "mean_trials=1" in text
         assert "runs=20" in text
 
+    def test_report_to_stdout_printed_once(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "sample", "--model", "1", "--gamma", "pi/4", "--beta", "pi/4",
+            "--runs", "3", "--out", "-",
+        )
+        assert code == EXIT_OK
+        assert out.count("mean_trials=") == 1
+
 
 class TestEmitCircuit:
     def test_writes_interpretable_file(self, capsys, tmp_path):

@@ -22,7 +22,7 @@ from qaoa_linear.optimizers import (
     maximize,
     portfolio_maximize,
 )
-from qaoa_linear.probability import QaoaParams, exact_p1_m2_max, prob_opt
+from qaoa_linear.probability import QaoaParams, exact_p1_m2_max, prob_opt, qubit_kernel
 
 LEAN = dict(budget=2000, restarts=2)
 
@@ -133,10 +133,26 @@ class TestBudgets:
         assert values[0] <= values[1] <= values[2]
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_evaluations_capped(self, method):
-        spec = OptimizerSpec(method, budget=777, seed=3, restarts=3)
-        result = maximize(LinearIsing((1.0, 2.0)), 1, spec)
-        assert result.evaluations_used <= 777 * 3
+    @pytest.mark.parametrize("p,budget", [(1, 1), (1, 7), (1, 29), (1, 777), (3, 50)])
+    def test_evaluations_capped(self, method, p, budget, monkeypatch):
+        # Budgets that cut Nelder-Mead's start simplex, a batch or DE's
+        # population (30 at p = 1, 90 at p = 3): every restart spends all
+        # of its budget, counted as rows the objective actually scores.
+        rows = []
+
+        def counting_kernel(model):
+            kernel = qubit_kernel(model)
+
+            def counted(gammas, betas):
+                rows.append(len(gammas))
+                return kernel(gammas, betas)
+
+            return counted
+
+        monkeypatch.setattr(optimizers, "qubit_kernel", counting_kernel)
+        spec = OptimizerSpec(method, budget=budget, seed=3, restarts=3)
+        result = maximize(LinearIsing((1.0, 2.0)), p, spec)
+        assert result.evaluations_used == sum(rows) == budget * 3
 
     def test_tiny_budget_still_returns(self):
         for method in METHODS:
