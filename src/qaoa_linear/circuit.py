@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import re
 
+from .errors import positive_int
 from .ising import LinearIsing
 
 
 def twos_complement_bits(value: int, width: int) -> tuple[int, ...]:
     """Bits of value in width-bit two's complement, least significant first."""
-    if not isinstance(width, int) or width < 1:
-        raise ValueError(f"register width must be a positive integer, got {width!r}")
+    positive_int(width, "register width")
     if not -(1 << (width - 1)) <= value <= (1 << (width - 1)) - 1:
         raise ValueError(
             f"value {value} does not fit in {width}-bit two's complement"
@@ -44,10 +44,7 @@ def emit_linear_solver_circuit(model: LinearIsing, register_width: int) -> str:
     Requires integer coefficients that fit the register width; rejects
     anything else by naming the offending coefficient.
     """
-    if not isinstance(register_width, int) or register_width < 1:
-        raise ValueError(
-            f"register width must be a positive integer, got {register_width!r}"
-        )
+    positive_int(register_width, "register width")
     values = []
     for i, a in enumerate(model.coeffs):
         if a != int(a):

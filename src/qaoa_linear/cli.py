@@ -22,14 +22,14 @@ import re
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .circuit import emit_linear_solver_circuit
 from .errors import QaoaLinearError
 from .experiments import (
+    ANOMALY_TOL,
     build_tables,
     check_sampling_request,
     conjecture_scan,
+    is_anomaly,
     sample_until_optimum,
 )
 from .gates import amplitude_to_bit
@@ -47,6 +47,7 @@ from .optimizers import (
     METHODS,
     OptimizerSpec,
     default_portfolio,
+    philox,
     portfolio_maximize,
 )
 from .probability import (
@@ -242,20 +243,11 @@ def cmd_table(ns, provenance) -> int:
     specs = _specs(ns)
     print(*provenance, sep="\n")
     table = build_tables(ns.M, ns.P, specs)
-    if ns.format == "csv":
-        _write_text(ns.out, table.to_csv(), sys.stdout)
-    else:
-        lines = []
-        for i, m in enumerate(table.m_values):
-            for j, p in enumerate(table.p_values):
-                lines.append(
-                    f"m={m} p={p} prob={table.prob[i, j]:.6f} base={table.base[i, j]:.5f}"
-                )
-        _write_text(ns.out, "\n".join(lines) + "\n", sys.stdout)
+    _write_text(ns.out, table.to_csv(), sys.stdout)
     print(f"# cells={ns.M * ns.P}")
     for i, m in enumerate(table.m_values):
         for j, p in enumerate(table.p_values):
-            if m > p and table.prob[i, j] >= 1.0 - 1e-4:
+            if is_anomaly(m, p, table.prob[i, j]):
                 print(f"# anomaly: m={m} p={p} prob={table.prob[i, j]:.6f}")
     return EXIT_OK
 
@@ -324,9 +316,7 @@ def cmd_scan(ns, provenance) -> int:
 
 
 def _verify_checks(seed: int):
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed % (1 << 64), 99], dtype=np.uint64))
-    )
+    rng = philox(seed, 99)
 
     root = exact_p1_m2_max()
     residual = ((5832.0 * root - 6804.0) * root + 1472.0) * root - 8.0
@@ -439,8 +429,7 @@ _COMMANDS = (
         Option("M", int, help="largest model size"),
         Option("P", int, help="largest layer count"),
     ) + _OPTIMIZER + (
-        Option("format", str, "csv", choices=("csv", "structured")),
-        Option("out", str, help="output path; stdout when omitted"),
+        Option("out", str, help="CSV output path; stdout when omitted"),
     )),
     ("sample", cmd_sample, "trials-to-optimum sampling experiment", _MODEL + (
         Option("runs", int),
@@ -461,7 +450,7 @@ _COMMANDS = (
     ("scan", cmd_scan, "perfect-recovery scan over model size", (
         Option("p", int),
         Option("m-max", int),
-        Option("tol", float, 1e-4),
+        Option("tol", float, ANOMALY_TOL),
     ) + _OPTIMIZER),
 )
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and positive_int, the one count rule, shared across the package."""
 
 
 class QaoaLinearError(Exception):
@@ -21,3 +21,10 @@ class DegenerateProbabilityError(QaoaLinearError):
     would be astronomically large (probability below 1e-9), and by
     prob_opt_replicated when the replicated probability underflows.
     """
+
+
+def positive_int(value, what: str) -> int:
+    """value if it is an int >= 1 and not a bool, else ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value

@@ -2,7 +2,8 @@
 
 Every cell of every experiment derives its own RNG seed from the master
 seed and the cell coordinates, so tables are bitwise reproducible and
-insensitive to evaluation order.
+insensitive to evaluation order.  specs=None means default_portfolio();
+an empty portfolio is refused by portfolio_maximize at the first cell.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateProbabilityError, ResourceLimitError
+from .errors import DegenerateProbabilityError, ResourceLimitError, positive_int
 from .ising import LinearIsing, consecutive
-from .optimizers import OptimizerSpec, default_portfolio, portfolio_maximize
+from .optimizers import default_portfolio, philox, portfolio_maximize
 from .probability import QaoaParams, prob_opt, qubit_probs
 
 # Sampling refuses below this; expected trial counts past 1e9 are not
@@ -29,6 +30,9 @@ MAX_SAMPLING_DRAWS = 1 << 24
 # Above this expected trial count the per-preparation simulation switches
 # to direct draws from the implied trial-count law (same distribution).
 _MAX_LITERAL_EXPECTED = 1e4
+
+# A cell counts as perfect when its best probability reaches 1 - ANOMALY_TOL.
+ANOMALY_TOL = 1e-4
 
 
 def cell_seed(master: int, m: int, p: int) -> int:
@@ -64,11 +68,9 @@ class ProbTable:
         return "\n".join(lines) + "\n"
 
 
-def _specs_or_default(specs) -> tuple[OptimizerSpec, ...]:
-    specs = tuple(specs) if specs is not None else default_portfolio()
-    if not specs:
-        raise ValueError("need at least one OptimizerSpec")
-    return specs
+def is_anomaly(m: int, p: int, prob: float, tol: float = ANOMALY_TOL) -> bool:
+    """Whether (m, p) reaches 1 - tol although m > p; never observed so far."""
+    return m > p and prob >= 1.0 - tol
 
 
 def _best_at_cell(m: int, p: int, specs) -> float:
@@ -83,11 +85,9 @@ def build_tables(m_max: int, p_max: int, specs=None) -> ProbTable:
     Each cell runs the full portfolio with per-cell seeds derived from
     each spec's own seed via cell_seed.
     """
-    if not isinstance(m_max, int) or m_max < 1:
-        raise ValueError(f"m_max must be a positive integer, got {m_max!r}")
-    if not isinstance(p_max, int) or p_max < 1:
-        raise ValueError(f"p_max must be a positive integer, got {p_max!r}")
-    specs = _specs_or_default(specs)
+    positive_int(m_max, "m_max")
+    positive_int(p_max, "p_max")
+    specs = default_portfolio() if specs is None else tuple(specs)
     m_values = tuple(range(1, m_max + 1))
     p_values = tuple(range(1, p_max + 1))
     flat = [_best_at_cell(m, p, specs) for m in m_values for p in p_values]
@@ -115,8 +115,7 @@ def check_sampling_request(runs: int, n: int) -> None:
     ValueError unless runs is a positive integer; ResourceLimitError when
     runs * n exceeds MAX_SAMPLING_DRAWS.
     """
-    if not isinstance(runs, int) or runs < 1:
-        raise ValueError(f"runs must be a positive integer, got {runs!r}")
+    positive_int(runs, "runs")
     if runs * n > MAX_SAMPLING_DRAWS:
         raise ResourceLimitError(
             f"{runs} runs on {n} qubits need {runs * n} draws per step; "
@@ -137,15 +136,13 @@ def sample_until_optimum(
     and, with ResourceLimitError, runs * n above MAX_SAMPLING_DRAWS.
     """
     check_sampling_request(runs, model.n)
+    rng = philox(seed, 0)
     true_prob = prob_opt(model, params)
     if true_prob < MIN_SAMPLING_PROB:
         raise DegenerateProbabilityError(
             f"success probability {true_prob:.3e} is below {MIN_SAMPLING_PROB:.0e}; "
             "expected trial count is astronomically large"
         )
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed % (1 << 64), 0], dtype=np.uint64))
-    )
     counts = np.zeros(runs, dtype=np.int64)
     if true_prob * _MAX_LITERAL_EXPECTED >= 1.0:
         q = qubit_probs(model, params)
@@ -181,25 +178,22 @@ class ScanEntry:
     anomaly: bool
 
 
-def conjecture_scan(p: int, m_max: int, specs=None, tol: float = 1e-4):
+def conjecture_scan(p: int, m_max: int, specs=None, tol: float = ANOMALY_TOL):
     """Optimize (1..m) for m = 1..m_max at fixed p; flag perfect cells.
 
-    An entry is an anomaly when the best probability reaches 1 - tol even
-    though m > p; across everything observed so far that never happens,
-    and this scan exists to go looking for counterexamples.
+    An entry is an anomaly by is_anomaly(m, p, best, tol): it reaches
+    1 - tol although m > p.  This scan goes looking for such counterexamples.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"layer count must be a positive integer, got {p!r}")
-    if not isinstance(m_max, int) or m_max < 1:
-        raise ValueError(f"m_max must be a positive integer, got {m_max!r}")
+    positive_int(p, "layer count")
+    positive_int(m_max, "m_max")
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
-    specs = _specs_or_default(specs)
+    specs = default_portfolio() if specs is None else tuple(specs)
     entries = []
     for m in range(1, m_max + 1):
         best = _best_at_cell(m, p, specs)
-        below = best < 1.0 - tol
         entries.append(
-            ScanEntry(m=m, best_prob=best, below_one=below, anomaly=(not below) and m > p)
+            ScanEntry(m=m, best_prob=best, below_one=best < 1.0 - tol,
+                      anomaly=is_anomaly(m, p, best, tol))
         )
     return tuple(entries)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import positive_int
+
 
 @dataclass(frozen=True)
 class LinearIsing:
@@ -55,15 +57,12 @@ def optimal_bits(model: LinearIsing) -> tuple[int, ...]:
 
 def replicate(model: LinearIsing, k: int) -> LinearIsing:
     """Model on k*n qubits made of k copies of the coefficient vector."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"replication count must be a positive integer, got {k!r}")
-    return LinearIsing(model.coeffs * k)
+    return LinearIsing(model.coeffs * positive_int(k, "replication count"))
 
 
 def consecutive(m: int) -> LinearIsing:
     """The benchmark family (1, 2, ..., m)."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"model size must be a positive integer, got {m!r}")
+    positive_int(m, "model size")
     return LinearIsing(tuple(float(v) for v in range(1, m + 1)))
 
 

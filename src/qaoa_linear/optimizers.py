@@ -41,6 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import positive_int
 from .ising import LinearIsing
 # bench/tracing.py wraps prob_opt and prob_opt_batch here, so both stay imported.
 from .probability import QaoaParams, prob_opt, prob_opt_batch, qubit_kernel  # noqa: F401
@@ -87,14 +88,9 @@ class OptimizerSpec:
             raise ValueError(
                 f"unknown method {self.method!r}; choose from {', '.join(METHODS)}"
             )
-        if not isinstance(self.budget, int) or self.budget < 1:
-            raise ValueError(f"budget must be a positive integer, got {self.budget!r}")
-        if not isinstance(self.restarts, int) or self.restarts < 1:
-            raise ValueError(
-                f"restarts must be a positive integer, got {self.restarts!r}"
-            )
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        positive_int(self.budget, "budget")
+        positive_int(self.restarts, "restarts")
+        _seed_word(self.seed)
 
 
 @dataclass(frozen=True)
@@ -136,12 +132,22 @@ def gamma_period(model: LinearIsing):
     return period
 
 
+def _seed_word(seed) -> int:
+    """seed mod 2**64; ValueError unless seed is an int and not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return seed % (1 << 64)
+
+
+def philox(seed: int, word: int) -> np.random.Generator:
+    """The one seed-to-stream rule: the Philox stream keyed by (seed mod 2**64, word)."""
+    key = np.array([_seed_word(seed), word], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def _make_rng(seed: int, method_id: int, restart: int) -> np.random.Generator:
     # Independent stream per (seed, method, restart); restart < 2**32.
-    key = np.array(
-        [seed % (1 << 64), (method_id << 32) | restart], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return philox(seed, (method_id << 32) | restart)
 
 
 def _nelder_mead(rng, hi):
@@ -376,8 +382,7 @@ def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationRes
     (reflection can step out); reported angles are then equivalent to an
     in-box point modulo the period.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"layer count must be a positive integer, got {p!r}")
+    positive_int(p, "layer count")
     method_id = _METHOD_IDS[spec.method]
     period = gamma_period(model)
     gamma_box = period if period is not None else 2.0 * math.pi

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbabilityError
-from .gates import SQRT_HALF, _check_angle, bit_amplitudes
+from .errors import DegenerateProbabilityError, positive_int
+from .gates import SQRT_HALF, _check_angle, _check_layers, bit_amplitudes
 from .ising import LinearIsing, optimal_bits
 
 
@@ -36,14 +36,7 @@ class QaoaParams:
     betas: tuple[float, ...]
 
     def __post_init__(self):
-        gammas = tuple(_check_angle(g) for g in self.gammas)
-        betas = tuple(_check_angle(b) for b in self.betas)
-        if not gammas:
-            raise ValueError("need at least one layer")
-        if len(gammas) != len(betas):
-            raise ValueError(
-                f"got {len(gammas)} gamma angles but {len(betas)} beta angles"
-            )
+        gammas, betas = _check_layers(self.gammas, self.betas)
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "betas", betas)
 
@@ -53,8 +46,7 @@ class QaoaParams:
 
     @classmethod
     def zero(cls, p: int) -> "QaoaParams":
-        if not isinstance(p, int) or p < 1:
-            raise ValueError(f"layer count must be a positive integer, got {p!r}")
+        positive_int(p, "layer count")
         return cls((0.0,) * p, (0.0,) * p)
 
 
@@ -176,19 +168,21 @@ def prob_opt_replicated(base: LinearIsing, k: int, params: QaoaParams) -> float:
 
     Replication multiplies probabilities because the state factorizes
     per qubit and copies share coefficients and angles.  Raises
-    DegenerateProbabilityError when a positive base probability's k-th
-    power falls below the smallest normal float, where it would lose
-    its digits or read 0.0; log_prob_opt of the replica has the value.
+    DegenerateProbabilityError when a nonzero probability's k-th power
+    falls below the smallest normal float, even if prob_opt(base) itself
+    underflowed; log_prob_opt of the replica has the value.  An exactly
+    zero probability returns 0.0.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"replication count must be a positive integer, got {k!r}")
+    positive_int(k, "replication count")
     p_base = prob_opt(base, params)
     power = p_base**k
-    if power < sys.float_info.min and p_base > 0.0:
-        raise DegenerateProbabilityError(
-            f"prob_opt(base)**{k} underflows: its natural log is "
-            f"{k * math.log(p_base):.6g}; use log_prob_opt"
-        )
+    if power < sys.float_info.min:
+        log_base = log_prob_opt(base, params)
+        if log_base > -math.inf:
+            raise DegenerateProbabilityError(
+                f"prob_opt(base)**{k} underflows: its natural log is "
+                f"{k * log_base:.6g}; use log_prob_opt"
+            )
     return power
 
 
@@ -198,22 +192,24 @@ def runtime_estimate(base: LinearIsing, k: int, params: QaoaParams) -> RuntimeEs
     exponent_base is prob_opt(base)**(-1/m) for m = base.n: the per-qubit
     growth factor, so expected_samples == exponent_base**n for n = k*m.
     expected_samples is inf when 1/prob_opt is past the float range.
+    When prob_opt(base) itself underflows, exponent_base and the logs come
+    from log_prob_opt(base); ValueError only for an exactly zero probability.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"replication count must be a positive integer, got {k!r}")
+    positive_int(k, "replication count")
     p_base = prob_opt(base, params)
-    if p_base <= 0.0:
+    log_base = math.log(p_base) if p_base > 0.0 else log_prob_opt(base, params)
+    if log_base == -math.inf:
         raise ValueError("base probability is zero; runtime is unbounded at these angles")
     m = base.n
     try:
         expected = p_base ** (-float(k))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         expected = math.inf
-    log_prob = k * math.log(p_base)
+    log_prob = k * log_base
     return RuntimeEstimate(
         prob_opt=p_base**k,
         expected_samples=expected,
-        exponent_base=p_base ** (-1.0 / m),
+        exponent_base=p_base ** (-1.0 / m) if p_base > 0.0 else math.exp(-log_base / m),
         m=m,
         n=k * m,
         log_prob_opt=log_prob,
@@ -234,39 +230,21 @@ def _cubic(x: float) -> float:
 def exact_p1_m2_max() -> float:
     """Largest real root in (0, 1) of 5832 x^3 - 6804 x^2 + 1472 x - 8.
 
-    This equals max_{gamma, beta} prob_opt((1, 2), p=1).  Located by a
-    sign scan over [0, 1] plus bisection; no polynomial solver involved,
-    so tests can cross-check against companion-matrix roots.
+    This equals max_{gamma, beta} prob_opt((1, 2), p=1).  Located by
+    bisection on [1/2, 1]; no polynomial solver involved, so tests can
+    cross-check against companion-matrix roots.
     """
-    grid = 2048
-    roots = []
-    prev_x = 0.0
-    prev_f = _cubic(prev_x)
-    for i in range(1, grid + 1):
-        x = i / grid
-        f = _cubic(x)
-        if f == 0.0:
-            roots.append(x)
-        elif prev_f * f < 0.0:
-            lo, hi = prev_x, x
-            flo = prev_f
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fmid = _cubic(mid)
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fmid < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-                if hi - lo <= 1e-16:
-                    break
-            roots.append(0.5 * (lo + hi))
-        prev_x, prev_f = x, f
-    if not roots:
-        raise RuntimeError("cubic has no root in (0, 1); coefficients corrupted")
-    return max(roots)
+    # The other two roots lie near 0.0055 and 0.28, so the cubic changes
+    # sign exactly once on [1/2, 1]: f(1/2) = -244 < 0 < f(1) = 492.
+    # After 53 halvings lo and hi are adjacent floats.
+    lo, hi = 0.5, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if _cubic(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def overlap_p1(a1: float, a2: float, params: QaoaParams) -> complex:

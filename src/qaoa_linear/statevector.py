@@ -1,7 +1,8 @@
 """Dense statevector simulation of the full ansatz.
 
 Exponential in qubit count; exists as an independent cross-check for the
-product-formula fast path, not as a production path.  Basis convention:
+product-formula fast path, not as a production path; run_ansatz refuses
+more than MAX_QUBITS = 20 qubits before allocating.  Basis convention:
 qubit 1 is the least significant bit of the basis index, so the state for
 bits (b_1..b_n) sits at index sum_l b_l << (l - 1).
 """
@@ -16,7 +17,7 @@ from .errors import ResourceLimitError
 from .ising import LinearIsing
 from .probability import QaoaParams
 
-DEFAULT_MAX_QUBITS = 20
+MAX_QUBITS = 20
 
 
 def _objective_values(model: LinearIsing) -> np.ndarray:
@@ -29,20 +30,15 @@ def _objective_values(model: LinearIsing) -> np.ndarray:
     return values
 
 
-def run_ansatz(
-    model: LinearIsing, params: QaoaParams, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> np.ndarray:
+def run_ansatz(model: LinearIsing, params: QaoaParams) -> np.ndarray:
     """Amplitude vector of the p-layer ansatz state for the given model.
 
-    Refuses models above max_qubits before allocating anything.
+    Refuses models above MAX_QUBITS qubits before allocating anything.
     """
-    if not isinstance(max_qubits, int) or max_qubits < 1:
-        raise ValueError(f"max_qubits must be a positive integer, got {max_qubits!r}")
     n = model.n
-    if n > max_qubits:
+    if n > MAX_QUBITS:
         raise ResourceLimitError(
-            f"statevector for {n} qubits exceeds the cap of {max_qubits}; "
-            "raise max_qubits explicitly if you really want this"
+            f"statevector for {n} qubits exceeds the cap of {MAX_QUBITS}"
         )
     values = _objective_values(model)
     state = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)

@@ -182,16 +182,6 @@ class TestTable:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert b"\r" not in paths[0].read_bytes()
 
-    def test_structured_format(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "table", "--M", "1", "--P", "2", "--budget", "400", "--restarts", "1",
-            "--format", "structured",
-        )
-        assert code == EXIT_OK
-        assert "m=1 p=1 prob=" in out
-        assert "m=1 p=2 prob=" in out
-
     def test_unwritable_path_io_error(self, capsys):
         code, _, err = run(
             capsys,

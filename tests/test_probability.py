@@ -236,6 +236,12 @@ class TestReplication:
         with pytest.raises(DegenerateProbabilityError, match="log_prob_opt"):
             prob_opt_replicated(LinearIsing((1, 2)), 5000, QaoaParams((0.6,), (0.4,)))
 
+    @pytest.mark.parametrize("k, log_text", [(1, "-762.462"), (2, "-1524.92")])
+    def test_underflowed_base_raises(self, k, log_text):
+        # 1100 qubits at zero angles: prob_opt(base) = 2**-1100 already reads 0.0
+        with pytest.raises(DegenerateProbabilityError, match=f"natural log is {log_text};"):
+            prob_opt_replicated(LinearIsing((1.0,) * 1100), k, QaoaParams.zero(1))
+
 
 class TestLogProb:
     def test_agrees_with_direct_log(self):
@@ -310,13 +316,31 @@ class TestRuntimeEstimate:
         assert est.log_expected_samples == -est.log_prob_opt
         assert est.exponent_base == runtime_estimate(model, 1, params).exponent_base
 
-    def test_rejects_zero_probability(self):
-        # gamma=pi/2 on coefficient 1 with beta=pi/4 kills the target amplitude
-        model = LinearIsing((1.0,))
-        params = QaoaParams((math.pi / 2,), (3 * math.pi / 4,))
-        if prob_opt(model, params) == 0.0:
-            with pytest.raises(ValueError):
-                runtime_estimate(model, 1, params)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_underflowed_base(self, k):
+        # 1100 qubits at zero angles: prob_opt(base) = 2**-1100 reads 0.0,
+        # and the base's own log still gives every finite field
+        base, params = LinearIsing((1.0,) * 1100), QaoaParams.zero(1)
+        log_base = log_prob_opt(base, params)
+        assert prob_opt(base, params) == 0.0 and log_base == pytest.approx(-762.46, abs=0.01)
+        est = runtime_estimate(base, k, params)
+        assert est.prob_opt == 0.0
+        assert est.expected_samples == math.inf
+        assert est.exponent_base == math.exp(-log_base / 1100)
+        assert est.exponent_base == pytest.approx(2.0, rel=1e-12)
+        assert est.log_prob_opt == k * log_base
+        assert est.log_expected_samples == -est.log_prob_opt
+        assert (est.m, est.n) == (1100, 1100 * k)
+
+    def test_exactly_zero_probability(self, monkeypatch):
+        # no float angles found make a term exactly 0.0, so fake one
+        import qaoa_linear.probability as module
+
+        monkeypatch.setattr(module, "qubit_probs", lambda model, params: np.zeros(model.n))
+        params = QaoaParams.zero(1)
+        with pytest.raises(ValueError, match="unbounded"):
+            runtime_estimate(LinearIsing((1.0,)), 1, params)
+        assert prob_opt_replicated(LinearIsing((1.0,)), 2, params) == 0.0
 
 
 class TestExactP1M2Max:

@@ -55,12 +55,6 @@ class TestRunAnsatz:
     def test_qubit_cap_refused_before_allocation(self):
         with pytest.raises(ResourceLimitError):
             run_ansatz(LinearIsing((1.0,) * 21), QaoaParams.zero(1))
-        with pytest.raises(ResourceLimitError):
-            run_ansatz(LinearIsing((1.0,) * 5), QaoaParams.zero(1), max_qubits=4)
-
-    def test_cap_can_be_raised(self):
-        state = run_ansatz(LinearIsing((1.0,) * 5), QaoaParams.zero(1), max_qubits=5)
-        assert state.size == 32
 
 
 class TestOutcomeProbability:
