@@ -29,10 +29,12 @@ from .ising import LinearIsing
 
 def twos_complement_bits(value: int, width: int) -> tuple[int, ...]:
     """Bits of value in width-bit two's complement, least significant first."""
-    positive_int(width, "register width")
-    if not -(1 << (width - 1)) <= value <= (1 << (width - 1)) - 1:
+    width = positive_int(width, "register width")
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    if not lo <= value <= hi:
         raise ValueError(
-            f"value {value} does not fit in {width}-bit two's complement"
+            f"value {value} does not fit in {width}-bit two's complement "
+            f"(range {lo}..{hi})"
         )
     masked = value % (1 << width)
     return tuple((masked >> i) & 1 for i in range(width))
@@ -44,29 +46,23 @@ def emit_linear_solver_circuit(model: LinearIsing, register_width: int) -> str:
     Requires integer coefficients that fit the register width; rejects
     anything else by naming the offending coefficient.
     """
-    positive_int(register_width, "register width")
-    values = []
+    register_width = positive_int(register_width, "register width")
+    registers = []
     for i, a in enumerate(model.coeffs):
         if a != int(a):
             raise ValueError(
                 f"coefficient {i + 1} (= {a!r}) is not an integer; "
                 "the register encoding needs integer coefficients"
             )
-        v = int(a)
-        lo = -(1 << (register_width - 1))
-        hi = (1 << (register_width - 1)) - 1
-        if not lo <= v <= hi:
-            raise ValueError(
-                f"coefficient {i + 1} (= {v}) does not fit in a "
-                f"{register_width}-bit two's complement register "
-                f"(range {lo}..{hi})"
-            )
-        values.append(v)
+        try:
+            registers.append(twos_complement_bits(int(a), register_width))
+        except ValueError as exc:
+            raise ValueError(f"coefficient {i + 1}: {exc}") from None
     n = model.n
     out_base = n * register_width
     lines = []
-    for k, v in enumerate(values):
-        for offset, bit in enumerate(twos_complement_bits(v, register_width)):
+    for k, bits in enumerate(registers):
+        for offset, bit in enumerate(bits):
             lines.append(f"init q{k * register_width + offset} {bit}")
     for k in range(n):
         lines.append(f"init q{out_base + k} 0")

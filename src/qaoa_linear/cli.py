@@ -3,15 +3,16 @@
 Each command declares its options once, in a table of Option entries
 (key, parse, default, help).  One entry builds the --key flag, parses
 the key's value in a --config file, and writes the "# key=value
-(source)" provenance line.  Values resolve flag > config > default; a
-config key that names no option of the command is a usage error.  An
+(source)" provenance line.  Values resolve flag > config > default; an
+option whose default is REQUIRED has none, so omitting it is a usage
+error, as is a config key that names no option of the command.  An
 on/off option is a bare flag, and true or false in a config file.
 
-Every command prints its provenance lines, in table order, before any
-results, so a captured output identifies the run that produced it.
-Results are flat key=value records; tables are CSV.  Exit status: 0
-success, 1 failed check or refused computation, 2 usage error, 3 I/O
-error.
+Once the options resolve, main prints their provenance lines, in table
+order, before the command runs, so a captured output identifies the run
+that produced it, even one that then fails.  Results are flat key=value
+records; tables are CSV.  Exit status: 0 success, 1 failed check or
+refused computation, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Callable, NamedTuple
 from .circuit import emit_linear_solver_circuit
 from .errors import QaoaLinearError
 from .experiments import (
-    ANOMALY_TOL,
     build_tables,
     check_sampling_request,
     conjecture_scan,
@@ -136,6 +136,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
+REQUIRED = object()  # the default of an Option that cannot be omitted
+
+
 class Option(NamedTuple):
     """One command option: its --key flag, config key and provenance line."""
 
@@ -156,8 +159,8 @@ def _on_off(raw: str) -> bool:
 def _resolve(ns) -> list[str]:
     """Set each option of ns's command from its flag, else its config value, else its default.
 
-    Returns the provenance lines in table order.  A config key that names
-    no option of the command is a usage error.
+    Returns the provenance lines in table order.  Omitting a REQUIRED
+    option, or a config key naming no option of the command, is a usage error.
     """
     config = load_config(ns.config) if ns.config else {}
     provenance = []
@@ -177,6 +180,8 @@ def _resolve(ns) -> list[str]:
                 )
             setattr(ns, dest, value)
             source = "config"
+        elif opt.default is REQUIRED:
+            raise UsageError(f"{ns.command} needs --{opt.key}")
         else:
             setattr(ns, dest, opt.default)
             source = "default"
@@ -202,33 +207,25 @@ def _specs(ns):
     return (OptimizerSpec(ns.method, ns.budget, ns.seed, ns.restarts),)
 
 
-def _write_text(path, text: str, out):
+def _write_text(path, text: str):
     if path is None or path == "-":
-        out.write(text)
+        sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
-def cmd_prob(ns, provenance) -> int:
+def cmd_prob(ns) -> int:
     model = _model(ns)
-    if ns.gamma is None or ns.beta is None:
-        raise UsageError("prob needs --gamma and --beta angle lists")
     params = QaoaParams(parse_angle_list(ns.gamma), parse_angle_list(ns.beta))
-    print(*provenance, sep="\n")
     print(f"prob_opt={prob_opt(model, params):.12g}")
     if ns.log:
         print(f"log_prob_opt={log_prob_opt(model, params):.12g}")
     return EXIT_OK
 
 
-def cmd_optimize(ns, provenance) -> int:
-    model = _model(ns)
-    if ns.p is None:
-        raise UsageError("optimize needs --p (layer count)")
-    specs = _specs(ns)
-    print(*provenance, sep="\n")
-    result = portfolio_maximize(model, ns.p, specs)
+def cmd_optimize(ns) -> int:
+    result = portfolio_maximize(_model(ns), ns.p, _specs(ns))
     print(f"best_value={result.best_value:.12g}")
     print(f"best_gammas={_fmt(result.best_gammas)}")
     print(f"best_betas={_fmt(result.best_betas)}")
@@ -237,13 +234,9 @@ def cmd_optimize(ns, provenance) -> int:
     return EXIT_OK
 
 
-def cmd_table(ns, provenance) -> int:
-    if ns.M is None or ns.P is None:
-        raise UsageError("table needs --M and --P")
-    specs = _specs(ns)
-    print(*provenance, sep="\n")
-    table = build_tables(ns.M, ns.P, specs)
-    _write_text(ns.out, table.to_csv(), sys.stdout)
+def cmd_table(ns) -> int:
+    table = build_tables(ns.M, ns.P, _specs(ns))
+    _write_text(ns.out, table.to_csv())
     print(f"# cells={ns.M * ns.P}")
     for i, m in enumerate(table.m_values):
         for j, p in enumerate(table.p_values):
@@ -252,10 +245,8 @@ def cmd_table(ns, provenance) -> int:
     return EXIT_OK
 
 
-def cmd_sample(ns, provenance) -> int:
+def cmd_sample(ns) -> int:
     model = _model(ns)
-    if ns.runs is None:
-        raise UsageError("sample needs --runs")
     specs = _specs(ns)
     check_sampling_request(ns.runs, model.n)
     if ns.auto:
@@ -263,14 +254,12 @@ def cmd_sample(ns, provenance) -> int:
             raise UsageError("--auto replaces --gamma/--beta; give one or the other")
         if ns.p is None:
             raise UsageError("--auto needs --p")
-        print(*provenance, sep="\n")
         best = portfolio_maximize(model, ns.p, specs)
         params = QaoaParams(best.best_gammas, best.best_betas)
     else:
         if ns.gamma is None or ns.beta is None:
             raise UsageError("sample needs --gamma and --beta, or --auto with --p")
         params = QaoaParams(parse_angle_list(ns.gamma), parse_angle_list(ns.beta))
-        print(*provenance, sep="\n")
     report = sample_until_optimum(model, params, ns.runs, seed=ns.seed)
     doc = "\n".join(
         [
@@ -285,34 +274,35 @@ def cmd_sample(ns, provenance) -> int:
     ) + "\n"
     print(doc, end="")
     if ns.out not in (None, "-"):
-        _write_text(ns.out, doc, sys.stdout)
+        _write_text(ns.out, doc)
     return EXIT_OK
 
 
-def cmd_emit_circuit(ns, provenance) -> int:
-    model = _model(ns)
-    if ns.width is None:
-        raise UsageError("emit-circuit needs --width")
-    print(*provenance, sep="\n")
-    _write_text(ns.out, emit_linear_solver_circuit(model, ns.width), sys.stdout)
+def cmd_emit_circuit(ns) -> int:
+    _write_text(ns.out, emit_linear_solver_circuit(_model(ns), ns.width))
     return EXIT_OK
 
 
-def cmd_scan(ns, provenance) -> int:
-    if ns.p is None or ns.m_max is None:
-        raise UsageError("scan needs --p and --m-max")
-    specs = _specs(ns)
-    print(*provenance, sep="\n")
-    entries = conjecture_scan(ns.p, ns.m_max, specs, tol=ns.tol)
-    anomalies = 0
+def cmd_scan(ns) -> int:
+    entries = conjecture_scan(ns.p, ns.m_max, _specs(ns))
     for e in entries:
         print(
             f"m={e.m} best_prob={e.best_prob:.6f} "
             f"below_one={_fmt(e.below_one)} anomaly={_fmt(e.anomaly)}"
         )
-        anomalies += e.anomaly
-    print(f"# anomalies={anomalies}")
+    print(f"# anomalies={sum(e.anomaly for e in entries)}")
     return EXIT_OK
+
+
+def _random_instance(rng, max_n: int) -> tuple[LinearIsing, QaoaParams]:
+    """1..max_n signed coefficients in [0.5, 3) and 1..3 layers of angles in [0, pi)."""
+    n = int(rng.integers(1, max_n + 1))
+    coeffs = tuple(float(a) for a in rng.uniform(0.5, 3.0, n) * rng.choice([-1, 1], n))
+    p = int(rng.integers(1, 4))
+    params = QaoaParams(
+        tuple(rng.uniform(0.0, math.pi, p)), tuple(rng.uniform(0.0, math.pi, p))
+    )
+    return LinearIsing(coeffs), params
 
 
 def _verify_checks(seed: int):
@@ -358,13 +348,7 @@ def _verify_checks(seed: int):
 
     worst = 0.0
     for k in range(1, 9):
-        n = int(rng.integers(1, 4))
-        coeffs = tuple(float(a) for a in rng.uniform(0.5, 3.0, n) * rng.choice([-1, 1], n))
-        model = LinearIsing(coeffs)
-        p = int(rng.integers(1, 4))
-        params = QaoaParams(
-            tuple(rng.uniform(0.0, math.pi, p)), tuple(rng.uniform(0.0, math.pi, p))
-        )
+        model, params = _random_instance(rng, 3)
         direct = prob_opt(replicate(model, k), params)
         worst = max(worst, abs(direct - prob_opt_replicated(model, k, params)))
     yield (
@@ -375,13 +359,7 @@ def _verify_checks(seed: int):
 
     worst = 0.0
     for _ in range(10):
-        n = int(rng.integers(1, 9))
-        coeffs = tuple(float(a) for a in rng.uniform(0.5, 3.0, n) * rng.choice([-1, 1], n))
-        model = LinearIsing(coeffs)
-        p = int(rng.integers(1, 4))
-        params = QaoaParams(
-            tuple(rng.uniform(0.0, math.pi, p)), tuple(rng.uniform(0.0, math.pi, p))
-        )
+        model, params = _random_instance(rng, 8)
         dense = outcome_probability(run_ansatz(model, params), optimal_bits(model))
         worst = max(worst, abs(dense - prob_opt(model, params)))
     yield (
@@ -391,8 +369,7 @@ def _verify_checks(seed: int):
     )
 
 
-def cmd_verify(ns, provenance) -> int:
-    print(*provenance, sep="\n")
+def cmd_verify(ns) -> int:
     failures = 0
     total = 0
     for name, ok, detail in _verify_checks(ns.seed):
@@ -418,21 +395,21 @@ _ANGLES = "comma-separated angles; pi fractions allowed"
 # (name, command, help, options); each table's order is its provenance order.
 _COMMANDS = (
     ("prob", cmd_prob, "success probability at given angles", _MODEL + (
-        Option("gamma", str, help=_ANGLES),
-        Option("beta", str, help=_ANGLES),
+        Option("gamma", str, REQUIRED, _ANGLES),
+        Option("beta", str, REQUIRED, _ANGLES),
         Option("log", _on_off, False, "also print the natural log"),
     )),
     ("optimize", cmd_optimize, "maximize the success probability", _MODEL + (
-        Option("p", int, help="layer count"),
+        Option("p", int, REQUIRED, "layer count"),
     ) + _OPTIMIZER),
     ("table", cmd_table, "probability/base grid over m and p", (
-        Option("M", int, help="largest model size"),
-        Option("P", int, help="largest layer count"),
+        Option("M", int, REQUIRED, "largest model size"),
+        Option("P", int, REQUIRED, "largest layer count"),
     ) + _OPTIMIZER + (
         Option("out", str, help="CSV output path; stdout when omitted"),
     )),
     ("sample", cmd_sample, "trials-to-optimum sampling experiment", _MODEL + (
-        Option("runs", int),
+        Option("runs", int, REQUIRED),
         Option("auto", _on_off, False, "optimize angles first"),
         Option("gamma", str),
         Option("beta", str),
@@ -441,16 +418,15 @@ _COMMANDS = (
         Option("out", str, help="also write the report to this path"),
     )),
     ("emit-circuit", cmd_emit_circuit, "classical sign-reading circuit text", _MODEL + (
-        Option("width", int, help="two's complement register width"),
+        Option("width", int, REQUIRED, "two's complement register width"),
         Option("out", str, help="output path; stdout when omitted"),
     )),
     ("verify", cmd_verify, "closed-form identity checks", (
         Option("seed", int, 1),
     )),
     ("scan", cmd_scan, "perfect-recovery scan over model size", (
-        Option("p", int),
-        Option("m-max", int),
-        Option("tol", float, ANOMALY_TOL),
+        Option("p", int, REQUIRED),
+        Option("m-max", int, REQUIRED),
     ) + _OPTIMIZER),
 )
 
@@ -484,8 +460,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        provenance = _resolve(ns)
-        return ns.func(ns, provenance)
+        print(*_resolve(ns), sep="\n")
+        return ns.func(ns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,7 @@
 """Exception types and positive_int, the one count rule, shared across the package."""
 
+from numbers import Integral
+
 
 class QaoaLinearError(Exception):
     """Base class for all package-specific errors."""
@@ -24,7 +26,7 @@ class DegenerateProbabilityError(QaoaLinearError):
 
 
 def positive_int(value, what: str) -> int:
-    """value if it is an int >= 1 and not a bool, else ValueError naming what."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    """int(value) for an integer >= 1 (numpy's too, not bool); else ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
-    return value
+    return int(value)

@@ -68,9 +68,9 @@ class ProbTable:
         return "\n".join(lines) + "\n"
 
 
-def is_anomaly(m: int, p: int, prob: float, tol: float = ANOMALY_TOL) -> bool:
-    """Whether (m, p) reaches 1 - tol although m > p; never observed so far."""
-    return m > p and prob >= 1.0 - tol
+def is_anomaly(m: int, p: int, prob: float) -> bool:
+    """Whether (m, p) reaches 1 - ANOMALY_TOL although m > p; never observed so far."""
+    return m > p and prob >= 1.0 - ANOMALY_TOL
 
 
 def _best_at_cell(m: int, p: int, specs) -> float:
@@ -85,8 +85,8 @@ def build_tables(m_max: int, p_max: int, specs=None) -> ProbTable:
     Each cell runs the full portfolio with per-cell seeds derived from
     each spec's own seed via cell_seed.
     """
-    positive_int(m_max, "m_max")
-    positive_int(p_max, "p_max")
+    m_max = positive_int(m_max, "m_max")
+    p_max = positive_int(p_max, "p_max")
     specs = default_portfolio() if specs is None else tuple(specs)
     m_values = tuple(range(1, m_max + 1))
     p_values = tuple(range(1, p_max + 1))
@@ -112,15 +112,16 @@ class SamplingReport:
 def check_sampling_request(runs: int, n: int) -> None:
     """Refuse a sampling request before any work is spent on it.
 
-    ValueError unless runs is a positive integer; ResourceLimitError when
-    runs * n exceeds MAX_SAMPLING_DRAWS.
+    Returns runs as an int.  ValueError unless runs is a positive
+    integer; ResourceLimitError when runs * n exceeds MAX_SAMPLING_DRAWS.
     """
-    positive_int(runs, "runs")
+    runs = positive_int(runs, "runs")
     if runs * n > MAX_SAMPLING_DRAWS:
         raise ResourceLimitError(
             f"{runs} runs on {n} qubits need {runs * n} draws per step; "
             f"the cap is {MAX_SAMPLING_DRAWS}"
         )
+    return runs
 
 
 def sample_until_optimum(
@@ -135,7 +136,7 @@ def sample_until_optimum(
     (identical law, bounded cost).  Refuses probabilities below 1e-9
     and, with ResourceLimitError, runs * n above MAX_SAMPLING_DRAWS.
     """
-    check_sampling_request(runs, model.n)
+    runs = check_sampling_request(runs, model.n)
     rng = philox(seed, 0)
     true_prob = prob_opt(model, params)
     if true_prob < MIN_SAMPLING_PROB:
@@ -178,22 +179,20 @@ class ScanEntry:
     anomaly: bool
 
 
-def conjecture_scan(p: int, m_max: int, specs=None, tol: float = ANOMALY_TOL):
+def conjecture_scan(p: int, m_max: int, specs=None):
     """Optimize (1..m) for m = 1..m_max at fixed p; flag perfect cells.
 
-    An entry is an anomaly by is_anomaly(m, p, best, tol): it reaches
-    1 - tol although m > p.  This scan goes looking for such counterexamples.
+    An entry is an anomaly by is_anomaly(m, p, best): it reaches
+    1 - ANOMALY_TOL although m > p.  This scan goes looking for such counterexamples.
     """
-    positive_int(p, "layer count")
-    positive_int(m_max, "m_max")
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
+    p = positive_int(p, "layer count")
+    m_max = positive_int(m_max, "m_max")
     specs = default_portfolio() if specs is None else tuple(specs)
     entries = []
     for m in range(1, m_max + 1):
         best = _best_at_cell(m, p, specs)
         entries.append(
-            ScanEntry(m=m, best_prob=best, below_one=best < 1.0 - tol,
-                      anomaly=is_anomaly(m, p, best, tol))
+            ScanEntry(m=m, best_prob=best, below_one=best < 1.0 - ANOMALY_TOL,
+                      anomaly=is_anomaly(m, p, best))
         )
     return tuple(entries)

@@ -62,7 +62,7 @@ def replicate(model: LinearIsing, k: int) -> LinearIsing:
 
 def consecutive(m: int) -> LinearIsing:
     """The benchmark family (1, 2, ..., m)."""
-    positive_int(m, "model size")
+    m = positive_int(m, "model size")
     return LinearIsing(tuple(float(v) for v in range(1, m + 1)))
 
 

@@ -38,6 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -88,9 +89,9 @@ class OptimizerSpec:
             raise ValueError(
                 f"unknown method {self.method!r}; choose from {', '.join(METHODS)}"
             )
-        positive_int(self.budget, "budget")
-        positive_int(self.restarts, "restarts")
-        _seed_word(self.seed)
+        object.__setattr__(self, "budget", positive_int(self.budget, "budget"))
+        object.__setattr__(self, "restarts", positive_int(self.restarts, "restarts"))
+        object.__setattr__(self, "seed", _seed_int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -132,16 +133,16 @@ def gamma_period(model: LinearIsing):
     return period
 
 
-def _seed_word(seed) -> int:
-    """seed mod 2**64; ValueError unless seed is an int and not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, int):
+def _seed_int(seed) -> int:
+    """int(seed); ValueError unless seed is an integer (numpy's too) and not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    return seed % (1 << 64)
+    return int(seed)
 
 
 def philox(seed: int, word: int) -> np.random.Generator:
     """The one seed-to-stream rule: the Philox stream keyed by (seed mod 2**64, word)."""
-    key = np.array([_seed_word(seed), word], dtype=np.uint64)
+    key = np.array([_seed_int(seed) % (1 << 64), word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -382,7 +383,7 @@ def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationRes
     (reflection can step out); reported angles are then equivalent to an
     in-box point modulo the period.
     """
-    positive_int(p, "layer count")
+    p = positive_int(p, "layer count")
     method_id = _METHOD_IDS[spec.method]
     period = gamma_period(model)
     gamma_box = period if period is not None else 2.0 * math.pi

@@ -46,7 +46,7 @@ class QaoaParams:
 
     @classmethod
     def zero(cls, p: int) -> "QaoaParams":
-        positive_int(p, "layer count")
+        p = positive_int(p, "layer count")
         return cls((0.0,) * p, (0.0,) * p)
 
 
@@ -173,7 +173,7 @@ def prob_opt_replicated(base: LinearIsing, k: int, params: QaoaParams) -> float:
     underflowed; log_prob_opt of the replica has the value.  An exactly
     zero probability returns 0.0.
     """
-    positive_int(k, "replication count")
+    k = positive_int(k, "replication count")
     p_base = prob_opt(base, params)
     power = p_base**k
     if power < sys.float_info.min:
@@ -195,7 +195,7 @@ def runtime_estimate(base: LinearIsing, k: int, params: QaoaParams) -> RuntimeEs
     When prob_opt(base) itself underflows, exponent_base and the logs come
     from log_prob_opt(base); ValueError only for an exactly zero probability.
     """
-    positive_int(k, "replication count")
+    k = positive_int(k, "replication count")
     p_base = prob_opt(base, params)
     log_base = math.log(p_base) if p_base > 0.0 else log_prob_opt(base, params)
     if log_base == -math.inf:

@@ -403,6 +403,56 @@ class TestConfigFile:
         assert code == EXIT_USAGE
 
 
+LEAN = ("--method", "random-search", "--budget", "10", "--restarts", "1")
+
+# (command, required key, a value for it, the other arguments of a run)
+REQUIRED_OPTIONS = [
+    ("prob", "gamma", "0", ("--model", "1,2", "--beta", "0")),
+    ("prob", "beta", "0", ("--model", "1,2", "--gamma", "0")),
+    ("optimize", "p", "1", ("--m", "1") + LEAN),
+    ("table", "M", "1", ("--P", "1") + LEAN),
+    ("table", "P", "1", ("--M", "1") + LEAN),
+    ("sample", "runs", "5", ("--model", "1", "--gamma", "0", "--beta", "0")),
+    ("emit-circuit", "width", "2", ("--model", "1",)),
+    ("scan", "p", "1", ("--m-max", "1") + LEAN),
+    ("scan", "m-max", "1", ("--p", "1") + LEAN),
+]
+
+
+class TestUsageRules:
+    @pytest.mark.parametrize(
+        "command,key,value,args",
+        REQUIRED_OPTIONS,
+        ids=[f"{command}-{key}" for command, key, _, _ in REQUIRED_OPTIONS],
+    )
+    def test_required_option(self, capsys, tmp_path, command, key, value, args):
+        code, out, err = run(capsys, command, *args)
+        assert code == EXIT_USAGE
+        assert f"{command} needs --{key}" in err
+        assert out == ""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        code, out, err = run(capsys, command, "--config", str(cfg), *args)
+        assert code == EXIT_OK, err
+        assert f"# {key}={value} (config)" in out
+
+    @pytest.mark.parametrize(
+        "argv,first",
+        [
+            (("table", "--M", "0", "--P", "1"), "# M=0 (flag)"),
+            (("prob", "--model", "1,2", "--gamma", "0,0", "--beta", "0"), "# model=1,2 (flag)"),
+        ],
+        ids=["table", "prob"],
+    )
+    def test_provenance_precedes_later_usage_error(self, capsys, argv, first):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        lines = out.splitlines()
+        assert lines[0] == first
+        assert all(line.startswith("# ") and line.endswith(")") for line in lines)
+
+
 class TestTopLevel:
     def test_no_arguments_usage_error(self, capsys):
         assert run(capsys, )[0] == EXIT_USAGE

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qaoa_linear import cli, experiments
 from qaoa_linear.errors import DegenerateProbabilityError, ResourceLimitError
 from qaoa_linear.experiments import (
     MAX_SAMPLING_DRAWS,
@@ -133,11 +134,16 @@ class TestConjectureScan:
         assert [e.below_one for e in entries] == [False, True, True]
         assert not any(e.anomaly for e in entries)
 
-    def test_anomaly_flag_fires_on_loose_tolerance(self):
-        # tol=0.5 treats 0.88 as "at one" for m=2 > p=1: the flag must fire
-        entries = conjecture_scan(1, 2, LEAN_SPECS, tol=0.5)
-        assert entries[1].below_one is False
-        assert entries[1].anomaly is True
+    def test_perfect_cells_past_p_are_anomalies(self, monkeypatch, capsys):
+        # every cell at 1.0: exactly the m > p entries are counterexamples
+        monkeypatch.setattr(experiments, "_best_at_cell", lambda m, p, specs: 1.0)
+        entries = conjecture_scan(2, 4, LEAN_SPECS)
+        assert [e.anomaly for e in entries] == [False, False, True, True]
+        assert not any(e.below_one for e in entries)
+        assert cli.main(["scan", "--p", "2", "--m-max", "4"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("anomaly=true") == 2
+        assert "# anomalies=2" in out
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_uses_same_seeds_as_tables(self, p):
@@ -151,5 +157,3 @@ class TestConjectureScan:
     def test_validation(self):
         with pytest.raises(ValueError):
             conjecture_scan(0, 3, LEAN_SPECS)
-        with pytest.raises(ValueError):
-            conjecture_scan(1, 2, LEAN_SPECS, tol=1.5)

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qaoa_linear.circuit import emit_linear_solver_circuit, twos_complement_bits
+from qaoa_linear.errors import ResourceLimitError
 from qaoa_linear.experiments import (
     build_tables,
     check_sampling_request,
@@ -56,3 +58,33 @@ def test_count_must_be_a_positive_int(entry, value):
 def test_seed_must_be_an_int(entry, seed):
     with pytest.raises(ValueError, match="seed must be an integer"):
         SEED_ENTRY_POINTS[entry](seed)
+
+
+# repr tells a plain int from a numpy one, so these also check that the
+# numpy value was converted rather than carried into the result.
+@pytest.mark.parametrize("kind", [np.int64, np.int32], ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_numpy_count_acts_as_int(entry, kind):
+    assert repr(COUNT_ENTRY_POINTS[entry](kind(3))) == repr(COUNT_ENTRY_POINTS[entry](3))
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32], ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+def test_numpy_seed_acts_as_int(entry, kind):
+    assert repr(SEED_ENTRY_POINTS[entry](kind(3))) == repr(SEED_ENTRY_POINTS[entry](3))
+
+
+def test_numpy_seed_gives_the_same_table():
+    # build_tables derives per-cell seeds from the spec's seed by int arithmetic
+    numpy_seed, int_seed = (
+        build_tables(2, 2, (OptimizerSpec("random-search", budget=5, seed=seed),))
+        for seed in (np.int64(7), 7)
+    )
+    assert numpy_seed.to_csv() == int_seed.to_csv()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampling_cap_is_not_wrapped_by_numpy_overflow():
+    # 2**62 * 4 wraps to 0 in int64; on plain ints it is far above the cap
+    with pytest.raises(ResourceLimitError):
+        check_sampling_request(np.int64(2**62), 4)
