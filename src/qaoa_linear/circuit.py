@@ -23,13 +23,24 @@ from __future__ import annotations
 
 import re
 
-from .errors import positive_int
+from .errors import ResourceLimitError, positive_int
 from .ising import LinearIsing
+
+# Every finite float is below 2**1024, so 1025 bits hold any integer
+# coefficient; a wider register would only add sign bits.
+MAX_REGISTER_WIDTH = 1025
 
 
 def twos_complement_bits(value: int, width: int) -> tuple[int, ...]:
-    """Bits of value in width-bit two's complement, least significant first."""
+    """Bits of value in width-bit two's complement, least significant first.
+
+    A width above MAX_REGISTER_WIDTH raises ResourceLimitError.
+    """
     width = positive_int(width, "register width")
+    if width > MAX_REGISTER_WIDTH:
+        raise ResourceLimitError(
+            f"register width {width} is above MAX_REGISTER_WIDTH = {MAX_REGISTER_WIDTH}"
+        )
     lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
     if not lo <= value <= hi:
         raise ValueError(

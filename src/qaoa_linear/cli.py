@@ -5,19 +5,21 @@ Each command declares its options once, in a table of Option entries
 the key's value in a --config file, and writes the "# key=value
 (source)" provenance line.  Values resolve flag > config > default; an
 option whose default is REQUIRED has none, so omitting it is a usage
-error, as is a config key that names no option of the command.  An
-on/off option is a bare flag, and true or false in a config file.
+error, as is a config key that names no option of the command.  Every
+option takes a value: there are no on/off flags.
 
 Once the options resolve, main prints their provenance lines, in table
 order, before the command runs, so a captured output identifies the run
 that produced it, even one that then fails.  Results are flat key=value
-records; tables are CSV.  Exit status: 0 success, 1 failed check or
-refused computation, 2 usage error, 3 I/O error.
+records; tables are CSV; --out writes either to a file, opened before
+the work starts, in place of stdout.  Exit status: 0 success, 1 failed
+check or refused computation, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import re
 import sys
@@ -149,13 +151,6 @@ class Option(NamedTuple):
     choices: tuple[str, ...] | None = None
 
 
-def _on_off(raw: str) -> bool:
-    """Config value of an on/off option, whose flag takes no value."""
-    if raw not in ("true", "false"):
-        raise UsageError(f"expected true or false, got {raw!r}")
-    return raw == "true"
-
-
 def _resolve(ns) -> list[str]:
     """Set each option of ns's command from its flag, else its config value, else its default.
 
@@ -207,36 +202,43 @@ def _specs(ns):
     return (OptimizerSpec(ns.method, ns.budget, ns.seed, ns.restarts),)
 
 
-def _write_text(path, text: str):
+def _output(path):
+    """The stream --out names: stdout for None or "-", else path, opened (truncated) now."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _record(**fields) -> str:
+    """One key=value line per field, in order."""
+    return "\n".join(f"{key}={_fmt(value)}" for key, value in fields.items())
 
 
 def cmd_prob(ns) -> int:
     model = _model(ns)
     params = QaoaParams(parse_angle_list(ns.gamma), parse_angle_list(ns.beta))
-    print(f"prob_opt={prob_opt(model, params):.12g}")
-    if ns.log:
-        print(f"log_prob_opt={log_prob_opt(model, params):.12g}")
+    print(_record(
+        prob_opt=prob_opt(model, params), log_prob_opt=log_prob_opt(model, params)
+    ))
     return EXIT_OK
 
 
 def cmd_optimize(ns) -> int:
     result = portfolio_maximize(_model(ns), ns.p, _specs(ns))
-    print(f"best_value={result.best_value:.12g}")
-    print(f"best_gammas={_fmt(result.best_gammas)}")
-    print(f"best_betas={_fmt(result.best_betas)}")
-    print(f"method={result.method}")
-    print(f"evaluations_used={result.evaluations_used}")
+    print(_record(
+        best_value=result.best_value,
+        best_gammas=result.best_gammas,
+        best_betas=result.best_betas,
+        method=result.method,
+        evaluations_used=result.evaluations_used,
+    ))
     return EXIT_OK
 
 
 def cmd_table(ns) -> int:
-    table = build_tables(ns.M, ns.P, _specs(ns))
-    _write_text(ns.out, table.to_csv())
+    with _output(ns.out) as out:
+        table = build_tables(ns.M, ns.P, _specs(ns))
+        out.write(table.to_csv())
     print(f"# cells={ns.M * ns.P}")
     for i, m in enumerate(table.m_values):
         for j, p in enumerate(table.p_values):
@@ -246,40 +248,36 @@ def cmd_table(ns) -> int:
 
 
 def cmd_sample(ns) -> int:
+    """Sample at --gamma/--beta, or at the angles optimized for --p layers."""
     model = _model(ns)
-    specs = _specs(ns)
     check_sampling_request(ns.runs, model.n)
-    if ns.auto:
-        if ns.gamma is not None or ns.beta is not None:
-            raise UsageError("--auto replaces --gamma/--beta; give one or the other")
-        if ns.p is None:
-            raise UsageError("--auto needs --p")
-        best = portfolio_maximize(model, ns.p, specs)
-        params = QaoaParams(best.best_gammas, best.best_betas)
-    else:
+    if ns.p is None:
         if ns.gamma is None or ns.beta is None:
-            raise UsageError("sample needs --gamma and --beta, or --auto with --p")
+            raise UsageError("sample needs --gamma and --beta, or --p")
         params = QaoaParams(parse_angle_list(ns.gamma), parse_angle_list(ns.beta))
-    report = sample_until_optimum(model, params, ns.runs, seed=ns.seed)
-    doc = "\n".join(
-        [
-            f"model={format_model(report.model)}",
-            f"gammas={_fmt(report.params.gammas)}",
-            f"betas={_fmt(report.params.betas)}",
-            f"true_prob={report.true_prob:.12g}",
-            f"runs={report.runs}",
-            f"mean_trials={report.mean_trials:.12g}",
-            f"ci95_halfwidth={report.ci95_halfwidth:.12g}",
-        ]
-    ) + "\n"
-    print(doc, end="")
-    if ns.out not in (None, "-"):
-        _write_text(ns.out, doc)
+    elif ns.gamma is not None or ns.beta is not None:
+        raise UsageError("--p optimizes the angles; give --p or --gamma/--beta, not both")
+    with _output(ns.out) as out:
+        if ns.p is not None:
+            best = portfolio_maximize(model, ns.p, _specs(ns))
+            params = QaoaParams(best.best_gammas, best.best_betas)
+        report = sample_until_optimum(model, params, ns.runs, seed=ns.seed)
+        print(_record(
+            model=format_model(report.model),
+            gammas=report.params.gammas,
+            betas=report.params.betas,
+            true_prob=report.true_prob,
+            runs=report.runs,
+            mean_trials=report.mean_trials,
+            ci95_halfwidth=report.ci95_halfwidth,
+        ), file=out)
     return EXIT_OK
 
 
 def cmd_emit_circuit(ns) -> int:
-    _write_text(ns.out, emit_linear_solver_circuit(_model(ns), ns.width))
+    model = _model(ns)
+    with _output(ns.out) as out:
+        out.write(emit_linear_solver_circuit(model, ns.width))
     return EXIT_OK
 
 
@@ -332,17 +330,10 @@ def _verify_checks(seed: int):
     r1_pos, r2_pos = p2_sine_residuals(math.pi / 6.0)
     r1_neg, r2_neg = p2_sine_residuals(-math.pi / 6.0)
     r1_zero, r2_zero = p2_sine_residuals(0.0)
-    ok = (
-        abs(r1_pos) <= 1e-12
-        and abs(r1_neg) <= 1e-12
-        and abs(r2_pos) >= 0.8
-        and abs(r2_neg) >= 0.8
-        and abs(r1_zero) <= 1e-12
-        and abs(r2_zero) <= 1e-12
-    )
     yield (
         "p2-sine-residuals",
-        ok,
+        all(abs(r) <= 1e-12 for r in (r1_pos, r1_neg, r1_zero, r2_zero))
+        and all(abs(r) >= 0.8 for r in (r2_pos, r2_neg)),
         f"r1(pi/6)={r1_pos:.3e} r2(pi/6)={r2_pos:.6f}",
     )
 
@@ -371,9 +362,7 @@ def _verify_checks(seed: int):
 
 def cmd_verify(ns) -> int:
     failures = 0
-    total = 0
-    for name, ok, detail in _verify_checks(ns.seed):
-        total += 1
+    for total, (name, ok, detail) in enumerate(_verify_checks(ns.seed), start=1):
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     print(f"# checks={total} failures={failures}")
@@ -391,13 +380,13 @@ _OPTIMIZER = (
     Option("seed", int, 1),
 )
 _ANGLES = "comma-separated angles; pi fractions allowed"
+_OUT = Option("out", str, help="write the result to this path instead of stdout")
 
 # (name, command, help, options); each table's order is its provenance order.
 _COMMANDS = (
     ("prob", cmd_prob, "success probability at given angles", _MODEL + (
         Option("gamma", str, REQUIRED, _ANGLES),
         Option("beta", str, REQUIRED, _ANGLES),
-        Option("log", _on_off, False, "also print the natural log"),
     )),
     ("optimize", cmd_optimize, "maximize the success probability", _MODEL + (
         Option("p", int, REQUIRED, "layer count"),
@@ -405,28 +394,23 @@ _COMMANDS = (
     ("table", cmd_table, "probability/base grid over m and p", (
         Option("M", int, REQUIRED, "largest model size"),
         Option("P", int, REQUIRED, "largest layer count"),
-    ) + _OPTIMIZER + (
-        Option("out", str, help="CSV output path; stdout when omitted"),
-    )),
+    ) + _OPTIMIZER + (_OUT,)),
     ("sample", cmd_sample, "trials-to-optimum sampling experiment", _MODEL + (
-        Option("runs", int, REQUIRED),
-        Option("auto", _on_off, False, "optimize angles first"),
-        Option("gamma", str),
-        Option("beta", str),
-        Option("p", int, help="layer count for --auto"),
-    ) + _OPTIMIZER + (
-        Option("out", str, help="also write the report to this path"),
-    )),
+        Option("runs", int, REQUIRED, "sample-until-success experiments"),
+        Option("gamma", str, help=_ANGLES),
+        Option("beta", str, help=_ANGLES),
+        Option("p", int, help="layer count; optimize the angles instead of --gamma/--beta"),
+    ) + _OPTIMIZER + (_OUT,)),
     ("emit-circuit", cmd_emit_circuit, "classical sign-reading circuit text", _MODEL + (
         Option("width", int, REQUIRED, "two's complement register width"),
-        Option("out", str, help="output path; stdout when omitted"),
+        _OUT,
     )),
     ("verify", cmd_verify, "closed-form identity checks", (
         Option("seed", int, 1),
     )),
     ("scan", cmd_scan, "perfect-recovery scan over model size", (
-        Option("p", int, REQUIRED),
-        Option("m-max", int, REQUIRED),
+        Option("p", int, REQUIRED, "layer count"),
+        Option("m-max", int, REQUIRED, "largest model size"),
     ) + _OPTIMIZER),
 )
 
@@ -441,14 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_ = sub.add_parser(name, help=help_)
         p_.add_argument("--config", help="key=value config file; flags override it")
         for opt in options:
-            if opt.parse is _on_off:
-                p_.add_argument(
-                    f"--{opt.key}", action="store_true", default=None, help=opt.help
-                )
-            else:
-                p_.add_argument(
-                    f"--{opt.key}", type=opt.parse, choices=opt.choices, help=opt.help
-                )
+            text = opt.help + " (required)" if opt.default is REQUIRED else opt.help
+            p_.add_argument(f"--{opt.key}", type=opt.parse, choices=opt.choices, help=text)
         p_.set_defaults(func=func, options=options)
     return parser
 

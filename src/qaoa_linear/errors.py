@@ -11,8 +11,9 @@ class ResourceLimitError(QaoaLinearError):
     """A request would exceed a configured resource cap.
 
     Raised before any allocation happens: by the dense statevector
-    simulator when the qubit count is above the allowed maximum, and by
-    the sampling harness when runs times qubits is above its cap.
+    simulator when the qubit count is above the allowed maximum, by the
+    sampling harness when runs times qubits is above its cap, and by the
+    circuit encoder when a register is wider than MAX_REGISTER_WIDTH.
     """
 
 

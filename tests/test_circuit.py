@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from qaoa_linear.circuit import (
+    MAX_REGISTER_WIDTH,
     emit_linear_solver_circuit,
     interpret_circuit,
     twos_complement_bits,
 )
+from qaoa_linear.errors import ResourceLimitError
 from qaoa_linear.ising import LinearIsing, optimal_bits
 
 
@@ -34,6 +36,18 @@ class TestTwosComplement:
     def test_overflow_rejected(self, value, width):
         with pytest.raises(ValueError):
             twos_complement_bits(value, width)
+
+    def test_width_cap(self):
+        assert MAX_REGISTER_WIDTH == 1025
+        largest = int(-np.finfo(float).max)
+        assert twos_complement_bits(largest, 1025)[-1] == 1
+        with pytest.raises(ResourceLimitError, match="1026"):
+            twos_complement_bits(0, 1026)
+
+    def test_width_cap_before_building(self):
+        assert emit_linear_solver_circuit(LinearIsing((3.0,)), 1025).count("\n") == 1028
+        with pytest.raises(ResourceLimitError):
+            emit_linear_solver_circuit(LinearIsing((3.0,)), 10**8)
 
 
 class TestEmit:

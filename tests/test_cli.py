@@ -1,6 +1,9 @@
 """Command-line behavior: flags, config, provenance, exit codes."""
 
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -90,13 +93,19 @@ class TestProb:
         assert rep == pytest.approx(base**2, abs=1e-12)
 
     def test_log_flag(self, capsys):
-        code, out, _ = run(
-            capsys, "prob", "--model", "1,2", "--gamma", "0", "--beta", "0", "--log"
-        )
+        code, out, _ = run(capsys, "prob", "--model", "1,2", "--gamma", "0", "--beta", "0")
         assert code == EXIT_OK
-        assert float(value_of(out, "log_prob_opt")) == pytest.approx(
-            math.log(0.25), abs=1e-9
+        lines = out.splitlines()
+        assert lines.index("prob_opt=0.25") + 1 == lines.index(
+            f"log_prob_opt={math.log(0.25):.12g}"
         )
+
+    def test_log_line_past_underflow(self, capsys):
+        model = ",".join(["1"] * 1100)
+        code, out, _ = run(capsys, "prob", "--model", model, "--gamma", "0", "--beta", "0")
+        assert code == EXIT_OK
+        assert value_of(out, "prob_opt") == "0"
+        assert float(value_of(out, "log_prob_opt")) == pytest.approx(1100 * math.log(0.5))
 
     def test_m_shorthand(self, capsys):
         _, out_a, _ = run(capsys, "prob", "--m", "2", "--gamma", "0.2", "--beta", "0.5")
@@ -106,7 +115,6 @@ class TestProb:
     def test_provenance_lines(self, capsys):
         _, out, _ = run(capsys, "prob", "--model", "1,2", "--gamma", "0", "--beta", "0")
         assert "# model=1,2 (flag)" in out
-        assert "# log=false (default)" in out
 
     def test_missing_angles_usage_error(self, capsys):
         code, _, err = run(capsys, "prob", "--model", "1,2")
@@ -191,6 +199,17 @@ class TestTable:
         assert code == EXIT_IO
         assert "io error" in err
 
+    def test_unwritable_path_found_before_the_grid(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("built the grid before opening --out")
+
+        monkeypatch.setattr(cli, "build_tables", build)
+        code, _, err = run(
+            capsys, "table", "--M", "3", "--P", "2", "--out", "/nonexistent-dir/t.csv"
+        )
+        assert code == EXIT_IO
+        assert "/nonexistent-dir/t.csv" in err
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_method_honoured(self, capsys, monkeypatch, tmp_path, source):
         received = []
@@ -231,7 +250,7 @@ class TestSample:
     def test_auto_optimizes_first(self, capsys):
         code, out, _ = run(
             capsys,
-            "sample", "--m", "1", "--p", "1", "--auto", "--runs", "50",
+            "sample", "--m", "1", "--p", "1", "--runs", "50",
             "--method", "nelder-mead", "--budget", "2000", "--restarts", "2",
         )
         assert code == EXIT_OK
@@ -244,7 +263,7 @@ class TestSample:
 
         monkeypatch.setattr(cli, "portfolio_maximize", optimize)
         code, _, err = run(
-            capsys, "sample", "--model", "1,2", "--p", "1", "--auto", "--runs", runs
+            capsys, "sample", "--model", "1,2", "--p", "1", "--runs", runs
         )
         assert code == expected
         assert "runs" in err
@@ -259,12 +278,26 @@ class TestSample:
         assert "refused" in err
 
     def test_auto_conflicts_with_angles(self, capsys):
-        code, _, _ = run(
+        code, _, err = run(
             capsys,
-            "sample", "--m", "1", "--p", "1", "--auto", "--gamma", "0",
-            "--beta", "0", "--runs", "10",
+            "sample", "--m", "1", "--p", "1", "--gamma", "0", "--beta", "0", "--runs", "10",
         )
         assert code == EXIT_USAGE
+        assert "--p" in err and "not both" in err
+
+    def test_needs_angles_or_p(self, capsys):
+        code, _, err = run(capsys, "sample", "--m", "1", "--gamma", "0", "--runs", "10")
+        assert code == EXIT_USAGE
+        assert "sample needs --gamma and --beta, or --p" in err
+
+    def test_given_angles_ignore_optimizer_options(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "sample", "--model", "1", "--gamma", "0", "--beta", "0", "--runs", "5",
+            "--budget", "0",
+        )
+        assert code == EXIT_OK
+        assert value_of(out, "runs") == "5"
 
     def test_report_written_to_file(self, capsys, tmp_path):
         path = tmp_path / "report.txt"
@@ -277,6 +310,7 @@ class TestSample:
         text = path.read_text()
         assert "mean_trials=1" in text
         assert "runs=20" in text
+        assert all(line.startswith("# ") for line in out.splitlines())
 
     def test_report_to_stdout_printed_once(self, capsys):
         code, out, _ = run(
@@ -311,6 +345,12 @@ class TestEmitCircuit:
         code, _, err = run(capsys, "emit-circuit", "--model", "1,9", "--width", "4")
         assert code == EXIT_USAGE
         assert "coefficient 2" in err
+
+    @pytest.mark.parametrize("width,expected", [("1025", EXIT_OK), ("1026", EXIT_CHECK)])
+    def test_width_cap(self, capsys, width, expected):
+        code, _, err = run(capsys, "emit-circuit", "--model", "3,-1", "--width", width)
+        assert code == expected
+        assert ("MAX_REGISTER_WIDTH" in err) == (expected == EXIT_CHECK)
 
 
 class TestVerify:
@@ -365,32 +405,19 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "bananas" in err
 
-    def test_log_false_prints_no_log(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "command,args,key",
+        [
+            ("prob", ("--model", "1,2", "--gamma", "0", "--beta", "0"), "log"),
+            ("sample", ("--model", "1", "--gamma", "0", "--beta", "0", "--runs", "5"), "auto"),
+        ],
+    )
+    def test_on_off_keys_are_unknown(self, capsys, tmp_path, command, args, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("model=1,2\ngamma=0\nbeta=0\nlog=false\n")
-        code, out, _ = run(capsys, "prob", "--config", str(cfg))
-        assert code == EXIT_OK
-        assert "# log=false (config)" in out
-        assert "log_prob_opt" not in out
-
-    def test_auto_false_samples_at_given_angles(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("auto=false\n")
-        code, out, _ = run(
-            capsys,
-            "sample", "--config", str(cfg), "--model", "1",
-            "--gamma", "pi/4", "--beta", "pi/4", "--runs", "5",
-        )
-        assert code == EXIT_OK
-        assert "# auto=false (config)" in out
-        assert float(value_of(out, "gammas")) == pytest.approx(math.pi / 4)
-
-    def test_on_off_value_must_be_true_or_false(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("model=1,2\ngamma=0\nbeta=0\nlog=yes\n")
-        code, _, err = run(capsys, "prob", "--config", str(cfg))
+        cfg.write_text(f"{key}=true\n")
+        code, _, err = run(capsys, command, "--config", str(cfg), *args)
         assert code == EXIT_USAGE
-        assert "'yes'" in err
+        assert f"unknown config keys: {key}" in err
 
     def test_missing_config_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "prob", "--config", str(tmp_path / "absent.cfg"))
@@ -462,3 +489,27 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
+
+    def test_help_marks_required_options(self, capsys):
+        code, out, _ = run(capsys, "table", "--help")
+        assert code == EXIT_OK
+        help_of = {m.group(1): m.group(2) for m in re.finditer(r"--(\w+) \w+ +(.*)", out)}
+        assert help_of["M"].endswith("(required)")
+        assert help_of["P"].endswith("(required)")
+        assert "required" not in help_of["budget"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+CLI_BLOCK = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```", 2)[1]
+README_RUNS = [
+    shlex.split(line)[1:] for line in CLI_BLOCK.splitlines() if line.startswith("qaoa-linear ")
+]
+
+
+@pytest.mark.parametrize("argv", README_RUNS, ids=[argv[0] for argv in README_RUNS])
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] in ("optimize", "table", "sample", "scan"):
+        argv = argv + ["--budget", "50", "--restarts", "1"]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
