@@ -11,9 +11,11 @@ option takes a value: there are no on/off flags.
 Once the options resolve, main prints their provenance lines, in table
 order, before the command runs, so a captured output identifies the run
 that produced it, even one that then fails.  Results are flat key=value
-records; tables are CSV; --out writes either to a file, opened before
-the work starts, in place of stdout.  Exit status: 0 success, 1 failed
-check or refused computation, 2 usage error, 3 I/O error.
+records; tables are CSV; --out writes to a file in place of stdout,
+through a temporary file beside it that is created before the work
+starts and renamed over it only when the command succeeds.  Exit
+status: 0 success, 1 failed check or refused computation, 2 usage
+error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import re
 import sys
 from typing import Callable, NamedTuple
@@ -202,11 +205,29 @@ def _specs(ns):
     return (OptimizerSpec(ns.method, ns.budget, ns.seed, ns.restarts),)
 
 
+@contextlib.contextmanager
 def _output(path):
-    """The stream --out names: stdout for None or "-", else path, opened (truncated) now."""
+    """The stream --out names: stdout for None or "-", else a file for path.
+
+    The file is a temporary one beside path, created now so that an
+    unwritable path fails before the work, and renamed over path only
+    when the block succeeds; a failed run leaves path as it was.
+    """
     if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+        yield sys.stdout
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        out = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _record(**fields) -> str:

@@ -109,7 +109,7 @@ class SamplingReport:
     ci95_halfwidth: float
 
 
-def check_sampling_request(runs: int, n: int) -> None:
+def check_sampling_request(runs: int, n: int) -> int:
     """Refuse a sampling request before any work is spent on it.
 
     Returns runs as an int.  ValueError unless runs is a positive

@@ -210,6 +210,27 @@ class TestTable:
         assert code == EXIT_IO
         assert "/nonexistent-dir/t.csv" in err
 
+    def test_failed_run_keeps_the_old_file(self, capsys, tmp_path):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("m,p,prob,base\n1,1,1.000000,1.00000\n")
+        code, _, _ = run(capsys, "table", "--M", "0", "--P", "1", "--out", str(kept))
+        assert code == EXIT_USAGE
+        assert kept.read_text() == "m,p,prob,base\n1,1,1.000000,1.00000\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["kept.csv"]
+
+    def test_unwritable_directory_found_before_the_grid(self, capsys, monkeypatch, tmp_path):
+        def build(*args):
+            raise AssertionError("built the grid before opening --out")
+
+        monkeypatch.setattr(cli, "build_tables", build)
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        target = not_a_dir / "t.csv"
+        code, _, err = run(capsys, "table", "--M", "3", "--P", "2", "--out", str(target))
+        assert code == EXIT_IO
+        assert f"'{target}'" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_method_honoured(self, capsys, monkeypatch, tmp_path, source):
         received = []

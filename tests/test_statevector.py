@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from qaoa_linear.errors import ResourceLimitError
 from qaoa_linear.gates import bit_amplitudes
 from qaoa_linear.ising import LinearIsing, optimal_bits
 from qaoa_linear.probability import QaoaParams, prob_opt
-from qaoa_linear.statevector import expectation, outcome_probability, run_ansatz
+from qaoa_linear.statevector import (
+    BLOCK,
+    _objective_values,
+    expectation,
+    outcome_probability,
+    run_ansatz,
+)
 
 
 def _random_instance(rng, max_n=8, max_p=3):
@@ -55,6 +62,73 @@ class TestRunAnsatz:
     def test_qubit_cap_refused_before_allocation(self):
         with pytest.raises(ResourceLimitError):
             run_ansatz(LinearIsing((1.0,) * 21), QaoaParams.zero(1))
+
+
+def _per_qubit_values(model):
+    """The objective values qubit by qubit from the index bits: the reference."""
+    idx = np.arange(1 << model.n)
+    values = np.zeros(idx.shape, dtype=float)
+    for l, a in enumerate(model.coeffs):
+        bit = (idx >> l) & 1
+        values += a * (1.0 - 2.0 * bit)
+    return values
+
+
+def _unblocked_run_ansatz(model, params):
+    """The whole-state loop, one full-size pass per layer and qubit: the reference."""
+    n = model.n
+    values = _per_qubit_values(model)
+    state = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
+    for gamma, beta in zip(params.gammas, params.betas):
+        state = state * np.exp(-1j * gamma * values)
+        c = math.cos(beta)
+        s = math.sin(beta)
+        for l in range(n):
+            view = state.reshape(-1, 2, 1 << l)
+            v0 = view[:, 0, :].copy()
+            v1 = view[:, 1, :]
+            view[:, 0, :] = c * v0 - 1j * s * v1
+            view[:, 1, :] = -1j * s * v0 + c * v1
+            state = view.reshape(-1)
+    return state
+
+
+def _signed_instance(rng, n, p):
+    model = LinearIsing(tuple(rng.uniform(0.2, 4.0, n) * rng.choice([-1, 1], n)))
+    params = QaoaParams(
+        tuple(rng.uniform(-math.pi, math.pi, p)), tuple(rng.uniform(-math.pi, math.pi, p))
+    )
+    return model, params
+
+
+class TestBlocks:
+    def test_objective_values_equal_per_qubit_formula(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 5, 9, 14, 15, 16, 18):
+            model, _ = _signed_instance(rng, n, 1)
+            assert np.array_equal(_objective_values(model), _per_qubit_values(model))
+
+    @pytest.mark.parametrize("n, p", [(16, 2), (16, 3), (17, 2), (17, 3)])
+    def test_states_across_blocks(self, n, p):
+        assert 1 << n > BLOCK
+        model, params = _signed_instance(np.random.default_rng(n * 10 + p), n, p)
+        state = run_ansatz(model, params)
+        assert np.max(np.abs(state - _unblocked_run_ansatz(model, params))) <= 1e-15
+        dense = outcome_probability(state, optimal_bits(model))
+        assert abs(dense - prob_opt(model, params)) <= 1e-10
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+
+    def test_peak_memory_is_state_and_values_plus_blocks(self):
+        n = 18
+        model, params = _signed_instance(np.random.default_rng(29), n, 3)
+        bound = 1.5 * ((1 << n) * 16 + (1 << n) * 8)  # complex state + float values
+        tracemalloc.start()
+        try:
+            run_ansatz(model, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestOutcomeProbability:
