@@ -2,9 +2,9 @@
 
 Every quantity the rest of the package computes reduces to products of
 2x2 rotations acting on |+>.  This module provides the exact matrices
-(public, and used by the tests) and the scalar reference recurrence
-that tracks one qubit's amplitude pair through the alternating RZ/RX
-sequence; probability.qubit_kernel is its array form.
+(public, and used by the tests), the schedule rule, and layer_amplitudes:
+the one recurrence taking each qubit's amplitude pair through the RZ/RX
+layers, for many qubits and schedules at once.
 
 Conventions: half-angle rotations, so rx(theta) = exp(-i*theta*X/2) and
 rz(theta) = exp(-i*theta*Z/2).  The ansatz applies, per layer j and per
@@ -18,6 +18,8 @@ import cmath
 import math
 
 import numpy as np
+
+from .ising import LinearIsing
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -56,40 +58,70 @@ def apply(gate: np.ndarray, state: np.ndarray) -> np.ndarray:
     return gate @ state
 
 
-def _check_layers(gammas, betas) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    gs = tuple(_check_angle(g) for g in gammas)
-    bs = tuple(_check_angle(b) for b in betas)
-    if len(gs) != len(bs):
-        raise ValueError(f"got {len(gs)} gamma angles but {len(bs)} beta angles")
-    if not gs:
+def _check_layers(gammas, betas, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The one schedule rule, one ValueError message per fault: (p,) arrays
+    for one schedule, (batch, p) for many (ndim=2), with the same number
+    of layers, at least one, every angle finite.  Returns float arrays."""
+    gammas = np.asarray(gammas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    if gammas.ndim != ndim or betas.ndim != ndim:
+        raise ValueError(f"gammas and betas must be {('(p,)', '(batch, p)')[ndim - 1]} arrays")
+    if gammas.shape[-1] != betas.shape[-1]:
+        raise ValueError(f"got {gammas.shape[-1]} gamma angles but {betas.shape[-1]} beta angles")
+    if not gammas.shape[-1]:
         raise ValueError("need at least one layer of angles")
-    return gs, bs
+    if not (np.isfinite(gammas).all() and np.isfinite(betas).all()):
+        angles = np.concatenate((gammas.ravel(), betas.ravel()))
+        _check_angle(angles[~np.isfinite(angles)][0])  # raises, naming the first bad angle
+    return gammas, betas
+
+
+# Signs that fold CPython's complex products into two real products per step;
+# see layer_amplitudes.  Rows: real, imaginary parts; columns: amplitudes v0, v1.
+_TURN_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])[:, :, None, None]
+_MIX_SIGNS = np.array([[1.0, 1.0], [-1.0, -1.0]])[:, :, None, None]
+
+
+def layer_amplitudes(coeffs: np.ndarray, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """The single-qubit recurrence: |+> through p layers, for many qubits and schedules.
+
+    coeffs is an (n, 1) column of field coefficients, gammas and betas are
+    unvalidated (batch, p) arrays of finite angles.  Returns u[part,
+    amplitude, qubit, point], the real and imaginary parts of (<0|psi>,
+    <1|psi>).  Per layer, with t = -gamma*a:
+
+        v0 *= e^{it}, v1 *= e^{-it}:  u*cos t + u[::-1] * (sin t * _TURN_SIGNS)
+        (c v0 - i s v1, c v1 - i s v0):  u*c + u[::-1, ::-1] * (s * _MIX_SIGNS)
+
+    which are CPython's complex products term by term (numpy's complex
+    multiply rounds differently): a sign folded into a factor and the
+    order of two summands change no bits, and np.cos and np.sin match
+    math.cos and math.sin.  So a scalar loop over Python complex numbers
+    gives every part bit for bit.
+    """
+    t = -(gammas.T[:, None, :] * coeffs)  # (layer, qubit, point)
+    turn_cos = np.cos(t)[:, None, None]
+    turn_sin = np.sin(t)[:, None, None] * _TURN_SIGNS
+    mix_cos = np.cos(betas.T)[:, None, None, None, :]
+    mix_sin = np.sin(betas.T)[:, None, None, None, :] * _MIX_SIGNS
+    u = np.zeros((2, 2, len(coeffs), len(gammas)))
+    u[0] = SQRT_HALF
+    for j in range(len(t)):
+        u = u * turn_cos[j] + u[::-1] * turn_sin[j]
+        u = u * mix_cos[j] + u[::-1, ::-1] * mix_sin[j]
+    return u
 
 
 def bit_amplitudes(a_coeff: float, gammas, betas) -> tuple[complex, complex]:
     """Amplitudes (<0|psi>, <1|psi>) for one qubit with field coefficient a_coeff.
 
-    Evolves |+> through p layers of rz(2*gamma_j*a_coeff) then rx(2*beta_j).
-    Pure scalar arithmetic: the reference for probability.qubit_kernel,
-    which repeats these float operations on arrays, so a change here
-    must be made there too.
+    Evolves |+> through p layers of rz(2*gamma_j*a_coeff) then rx(2*beta_j):
+    one row of layer_amplitudes.
     """
-    a = float(a_coeff)
-    if not math.isfinite(a) or a == 0.0:
-        raise ValueError(f"field coefficient must be finite and nonzero, got {a_coeff!r}")
-    gs, bs = _check_layers(gammas, betas)
-    v0 = complex(SQRT_HALF)
-    v1 = complex(SQRT_HALF)
-    for g, b in zip(gs, bs):
-        # rz(2*g*a) = diag(e^{-i g a}, e^{+i g a})
-        ph = cmath.exp(-1j * g * a)
-        v0 *= ph
-        v1 *= ph.conjugate()
-        # rx(2*b) mixes with cos(b), -i sin(b)
-        c = math.cos(b)
-        s = math.sin(b)
-        v0, v1 = c * v0 - 1j * s * v1, -1j * s * v0 + c * v1
-    return v0, v1
+    coeffs = np.array([LinearIsing((a_coeff,)).coeffs])
+    gammas, betas = _check_layers(gammas, betas)
+    u = layer_amplitudes(coeffs, gammas[None], betas[None])[:, :, 0, 0]
+    return tuple(map(complex, *u.tolist()))
 
 
 def amplitude_to_bit(a_coeff: float, target_bit: int, gammas, betas) -> complex:

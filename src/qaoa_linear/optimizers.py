@@ -8,9 +8,9 @@ with a smaller budget is an exact prefix of a longer run with the same
 seed.  Budgets count objective evaluations, nothing else.
 
 All four methods score points through one objective, built once per
-maximize call over probability.qubit_kernel, which repeats the float
-operations of gates.bit_amplitudes: every value is prob_opt's, bit for
-bit.  Every restart of every method spends exactly its budget.
+maximize call over probability.qubit_kernel, the same kernel prob_opt
+reduces: every value is prob_opt's, bit for bit.  Every restart of every
+method spends exactly its budget.
 
 Nelder-Mead and annealing propose one point at a time.  Each of their
 restarts is an endless generator that yields the point it wants scored,

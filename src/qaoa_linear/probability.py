@@ -8,11 +8,11 @@ measuring the classical optimum is a product of single-qubit terms:
 with U_j = rx(2*beta_j) rz(2*gamma_j*a_l) and b_l the optimal bit of
 qubit l.  Everything here is exact (no sampling, no statevector).
 
-qubit_kernel is the one array form of the single-qubit recurrence: it
-repeats the float operations of gates.bit_amplitudes, so its per-qubit
-terms equal |bit_amplitudes|^2 bit for bit.  prob_opt, log_prob_opt,
-prob_opt_batch, the sampler's per-qubit law and the optimizers' objective
-are reductions over it.
+qubit_kernel squares each qubit's optimal-bit amplitude from
+gates.layer_amplitudes, the package's one single-qubit recurrence.
+prob_opt, log_prob_opt, prob_opt_batch, the sampler's per-qubit law and
+the optimizers' objective are reductions over it; overlap_p1 reads the
+amplitudes themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProbabilityError, positive_int
-from .gates import SQRT_HALF, _check_angle, _check_layers, bit_amplitudes
+from .gates import _check_angle, _check_layers, layer_amplitudes
 from .ising import LinearIsing, optimal_bits
 
 
@@ -37,8 +37,8 @@ class QaoaParams:
 
     def __post_init__(self):
         gammas, betas = _check_layers(self.gammas, self.betas)
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "gammas", tuple(gammas.tolist()))
+        object.__setattr__(self, "betas", tuple(betas.tolist()))
 
     @property
     def p(self) -> int:
@@ -73,49 +73,19 @@ class RuntimeEstimate:
     log_expected_samples: float
 
 
-# Signs that fold CPython's complex products into two real products per
-# step; see qubit_kernel.  Rows: real, imaginary parts; columns:
-# amplitudes v0, v1.
-_TURN_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])[:, :, None, None]
-_MIX_SIGNS = np.array([[1.0, 1.0], [-1.0, -1.0]])[:, :, None, None]
-
-
 def qubit_kernel(model: LinearIsing):
     """Per-qubit success probabilities over a batch of angle schedules.
 
     Returns kernel(gammas, betas), which maps (batch, p) arrays of finite
-    angles to the (n, batch) array of |<b_l|psi_l>|^2, equal bit for bit
-    to v.real * v.real + v.imag * v.imag of gates.bit_amplitudes.  The
-    model's set-up is done once here; the kernel does not validate.
-
-    It repeats bit_amplitudes' float operations on real arrays, since
-    numpy's complex multiply rounds differently from CPython's.
-    u[part, amplitude, qubit, point] holds the real and imaginary parts
-    of (v0, v1).  Per layer, with t = -gamma*a:
-
-        v0 *= e^{it}, v1 *= e^{-it}:  u*cos t + u[::-1] * (sin t * _TURN_SIGNS)
-        (c v0 - i s v1, c v1 - i s v0):  u*c + u[::-1, ::-1] * (s * _MIX_SIGNS)
-
-    which are CPython's complex products term by term: a sign folded into
-    a factor and the order of two summands change no bits.  np.cos and
-    np.sin match math.cos and math.sin.
+    angles, unvalidated, to the (n, batch) array of |<b_l|psi_l>|^2 from
+    gates.layer_amplitudes.  The model's set-up is done once here.
     """
     coeffs = np.array(model.coeffs)[:, None]
     qubits = np.arange(model.n)
     bits = np.array(optimal_bits(model))
 
     def kernel(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        t = -(gammas.T[:, None, :] * coeffs)  # (layer, qubit, point)
-        turn_cos = np.cos(t)[:, None, None]
-        turn_sin = np.sin(t)[:, None, None] * _TURN_SIGNS
-        mix_cos = np.cos(betas.T)[:, None, None, None, :]
-        mix_sin = np.sin(betas.T)[:, None, None, None, :] * _MIX_SIGNS
-        u = np.zeros((2, 2, model.n, len(gammas)))
-        u[0] = SQRT_HALF
-        for j in range(len(t)):
-            u = u * turn_cos[j] + u[::-1] * turn_sin[j]
-            u = u * mix_cos[j] + u[::-1, ::-1] * mix_sin[j]
-        amp = u[:, bits, qubits]  # (part, qubit, point) of <b_l|psi_l>
+        amp = layer_amplitudes(coeffs, gammas, betas)[:, bits, qubits]  # (part, qubit, point)
         amp *= amp
         return amp[0] + amp[1]
 
@@ -124,8 +94,7 @@ def qubit_kernel(model: LinearIsing):
 
 def qubit_probs(model: LinearIsing, params: QaoaParams) -> np.ndarray:
     """One schedule's (n,) per-qubit terms, in qubit order."""
-    kernel = qubit_kernel(model)
-    return kernel(np.array([params.gammas]), np.array([params.betas]))[:, 0]
+    return qubit_kernel(model)(np.array([params.gammas]), np.array([params.betas]))[:, 0]
 
 
 def prob_opt(model: LinearIsing, params: QaoaParams) -> float:
@@ -152,14 +121,9 @@ def prob_opt_batch(model: LinearIsing, gammas: np.ndarray, betas: np.ndarray) ->
     gammas and betas are (batch, p) arrays of finite angles; returns a
     (batch,) array: qubit_kernel's terms multiplied in qubit order.
     """
-    gammas = np.asarray(gammas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    if gammas.ndim != 2 or gammas.shape != betas.shape:
-        raise ValueError("gammas and betas must be (batch, p) arrays of equal shape")
-    if gammas.shape[1] < 1:
-        raise ValueError("need at least one layer")
-    if not (np.isfinite(gammas).all() and np.isfinite(betas).all()):
-        raise ValueError("rotation angle must be finite")
+    gammas, betas = _check_layers(gammas, betas, ndim=2)
+    if len(gammas) != len(betas):
+        raise ValueError(f"got {len(gammas)} gamma schedules but {len(betas)} beta schedules")
     return np.multiply.reduce(qubit_kernel(model)(gammas, betas), axis=0)
 
 
@@ -255,8 +219,11 @@ def overlap_p1(a1: float, a2: float, params: QaoaParams) -> complex:
     """
     if params.p != 1:
         raise ValueError(f"overlap_p1 is defined for p = 1 only, got p = {params.p}")
-    u0, u1 = bit_amplitudes(a1, params.gammas, params.betas)
-    w0, w1 = bit_amplitudes(a2, params.gammas, params.betas)
+    coeffs = np.array(LinearIsing((a1, a2)).coeffs)[:, None]
+    u = layer_amplitudes(coeffs, np.array([params.gammas]), np.array([params.betas]))
+    # [part][amplitude][qubit]: qubit 0 holds (u0, u1), qubit 1 holds (w0, w1)
+    re, im = u[..., 0].tolist()
+    (u0, w0), (u1, w1) = (map(complex, r, i) for r, i in zip(re, im))
     return u0.conjugate() * w0 + u1.conjugate() * w1
 
 

@@ -1,4 +1,6 @@
-"""Input rules with one home each: counts (errors.positive_int) and seeds (optimizers.philox)."""
+"""Input rules with one home each: counts (errors.positive_int), seeds
+(optimizers.philox), angle schedules (gates._check_layers) and field
+coefficients (ising.LinearIsing)."""
 
 import math
 
@@ -13,9 +15,16 @@ from qaoa_linear.experiments import (
     conjecture_scan,
     sample_until_optimum,
 )
+from qaoa_linear.gates import bit_amplitudes
 from qaoa_linear.ising import LinearIsing, consecutive, replicate
 from qaoa_linear.optimizers import OptimizerSpec, maximize
-from qaoa_linear.probability import QaoaParams, prob_opt_replicated, runtime_estimate
+from qaoa_linear.probability import (
+    QaoaParams,
+    overlap_p1,
+    prob_opt_batch,
+    prob_opt_replicated,
+    runtime_estimate,
+)
 
 MODEL = LinearIsing((1.0, 2.0))
 PARAMS = QaoaParams((0.3,), (0.7,))
@@ -43,6 +52,34 @@ COUNT_ENTRY_POINTS = {
 SEED_ENTRY_POINTS = {
     "OptimizerSpec": lambda s: OptimizerSpec("random-search", seed=s),
     "sample_until_optimum": lambda s: sample_until_optimum(MODEL, PARAMS, 3, seed=s),
+}
+
+SCHEDULE_ENTRY_POINTS = {
+    "QaoaParams": QaoaParams,
+    "prob_opt_batch": lambda gammas, betas: prob_opt_batch(MODEL, [gammas], [betas]),
+    "bit_amplitudes": lambda gammas, betas: bit_amplitudes(1.5, gammas, betas),
+}
+
+# fault: (gammas, betas, the one message every entry point gives)
+SCHEDULE_FAULTS = {
+    "nan": ((0.3, math.nan), (0.7, 0.1), "rotation angle must be finite, got nan"),
+    "inf": ((0.3,), (math.inf,), "rotation angle must be finite, got inf"),
+    "-inf": ((-math.inf,), (0.7,), "rotation angle must be finite, got -inf"),
+    "no_layers": ((), (), "need at least one layer of angles"),
+    "mismatched_lengths": ((0.3,), (0.7, 0.1), "got 1 gamma angles but 2 beta angles"),
+}
+
+COEFFICIENT_ENTRY_POINTS = {
+    "LinearIsing": lambda a: LinearIsing((a,)),
+    "bit_amplitudes": lambda a: bit_amplitudes(a, (0.3,), (0.7,)),
+    "overlap_p1": lambda a: overlap_p1(a, 2.0, PARAMS),
+}
+
+# float(key): the one message every entry point gives
+COEFFICIENT_FAULTS = {
+    "0.0": "coefficient 1 is zero; drop the qubit instead",
+    "nan": "coefficient 1 is not finite: nan",
+    "inf": "coefficient 1 is not finite: inf",
 }
 
 
@@ -88,3 +125,20 @@ def test_sampling_cap_is_not_wrapped_by_numpy_overflow():
     # 2**62 * 4 wraps to 0 in int64; on plain ints it is far above the cap
     with pytest.raises(ResourceLimitError):
         check_sampling_request(np.int64(2**62), 4)
+
+
+@pytest.mark.parametrize("fault", sorted(SCHEDULE_FAULTS))
+@pytest.mark.parametrize("entry", sorted(SCHEDULE_ENTRY_POINTS))
+def test_schedule_rule_has_one_message(entry, fault):
+    gammas, betas, message = SCHEDULE_FAULTS[fault]
+    with pytest.raises(ValueError) as info:
+        SCHEDULE_ENTRY_POINTS[entry](gammas, betas)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", sorted(COEFFICIENT_FAULTS))
+@pytest.mark.parametrize("entry", sorted(COEFFICIENT_ENTRY_POINTS))
+def test_coefficient_rule_has_one_message(entry, value):
+    with pytest.raises(ValueError) as info:
+        COEFFICIENT_ENTRY_POINTS[entry](float(value))
+    assert str(info.value) == COEFFICIENT_FAULTS[value]

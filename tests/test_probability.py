@@ -136,31 +136,31 @@ class TestBatchKernel:
             prob_opt_batch(model, [[0.1], [0.2]], [[0.3], [bad]])
 
 
-def _scalar_reference(model: LinearIsing, p: int, x) -> float:
-    """prob_opt at one point, written out apart from the package's code."""
-    total = 1.0
-    for a, bit in zip(model.coeffs, optimal_bits(model)):
-        v0 = complex(SQRT_HALF)
-        v1 = complex(SQRT_HALF)
-        for j in range(p):
-            ph = cmath.exp(-1j * x[j] * a)
-            v0 *= ph
-            v1 *= ph.conjugate()
-            c = math.cos(x[p + j])
-            s = math.sin(x[p + j])
-            v0, v1 = c * v0 - 1j * s * v1, -1j * s * v0 + c * v1
-        v = v0 if bit == 0 else v1
-        total *= v.real * v.real + v.imag * v.imag
-    return total
+def _scalar_amplitudes(a: float, gammas, betas) -> tuple[complex, complex]:
+    """One qubit's (<0|psi>, <1|psi>), written out apart from the package's code."""
+    v0 = complex(SQRT_HALF)
+    v1 = complex(SQRT_HALF)
+    for g, b in zip(map(float, gammas), map(float, betas)):
+        ph = cmath.exp(-1j * g * a)
+        v0 *= ph
+        v1 *= ph.conjugate()
+        c = math.cos(b)
+        s = math.sin(b)
+        v0, v1 = c * v0 - 1j * s * v1, -1j * s * v0 + c * v1
+    return v0, v1
 
 
-def _bit_mag2(model: LinearIsing, gammas, betas) -> list[float]:
-    """|<b_l|psi_l>|^2 per qubit from the scalar gates.bit_amplitudes."""
-    out = []
+def _scalar_reference(model: LinearIsing, gammas, betas) -> list[float]:
+    """|<b_l|psi_l>|^2 per qubit from _scalar_amplitudes; prob_opt is their product."""
+    terms = []
     for a, bit in zip(model.coeffs, optimal_bits(model)):
-        v = bit_amplitudes(a, gammas, betas)[bit]
-        out.append(v.real * v.real + v.imag * v.imag)
-    return out
+        v = _scalar_amplitudes(a, gammas, betas)[bit]
+        terms.append(v.real * v.real + v.imag * v.imag)
+    return terms
+
+
+def _hex_parts(values) -> list[str]:
+    return [part.hex() for v in values for part in (v.real, v.imag)]
 
 
 _coefficients = st.floats(-6.0, 6.0, allow_nan=False).filter(lambda a: abs(a) > 1e-3)
@@ -179,15 +179,20 @@ class TestQubitKernel:
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-7.0, 7.0, (batch, 2 * p))
         values = prob_opt_batch(model, xs[:, :p], xs[:, p:])
-        expected = [_scalar_reference(model, p, x) for x in xs]
+        references = [_scalar_reference(model, x[:p], x[p:]) for x in xs]
+        expected = [math.prod(terms) for terms in references]
         assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected]
         direct = [prob_opt(model, QaoaParams(tuple(x[:p]), tuple(x[p:]))) for x in xs]
         assert values.tolist() == direct
         terms = qubit_kernel(model)(xs[:, :p], xs[:, p:])
         assert terms.shape == (model.n, batch)
-        for row, x in enumerate(xs):
-            want = _bit_mag2(model, x[:p], x[p:])
+        for row, want in enumerate(references):
             assert [v.hex() for v in terms[:, row].tolist()] == [v.hex() for v in want]
+        gs, bs = xs[0, :p], xs[0, p:]
+        for a in model.coeffs:
+            want = _hex_parts(_scalar_amplitudes(a, gs, bs))
+            assert _hex_parts(bit_amplitudes(a, gs, bs)) == want
+            assert _hex_parts(bit_amplitudes(a, tuple(gs.tolist()), tuple(bs.tolist()))) == want
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -260,7 +265,7 @@ class TestLogProb:
         model = replicate(LinearIsing((1.0, -2.5, 0.75, 3.0, -0.3, 1.7, -4.2)), 300)
         params = QaoaParams((0.31, -1.2, 2.05), (0.83, 0.4, -1.9))
         total = 0.0
-        for q in _bit_mag2(model, params.gammas, params.betas):
+        for q in _scalar_reference(model, params.gammas, params.betas):
             total += math.log(q)
         assert log_prob_opt(model, params).hex() == total.hex()
 
