@@ -27,9 +27,14 @@ MIN_SAMPLING_PROB = 1e-9
 # 128 MiB of float64 at the cap.
 MAX_SAMPLING_DRAWS = 1 << 24
 
-# Above this expected trial count the per-preparation simulation switches
-# to direct draws from the implied trial-count law (same distribution).
+# The per-preparation simulation runs only while the expected trial count,
+# which sets its Python loop's step count, stays within
+# _MAX_LITERAL_EXPECTED, and its expected uniform draws, runs * n / p,
+# within _MAX_LITERAL_DRAWS (about 3 s at 8e7 draws/s on one core of a
+# 2-CPU x86-64 host).  Past either it draws the trial counts directly
+# from the implied law (same distribution).
 _MAX_LITERAL_EXPECTED = 1e4
+_MAX_LITERAL_DRAWS = 1 << 28
 
 # A cell counts as perfect when its best probability reaches 1 - ANOMALY_TOL.
 ANOMALY_TOL = 1e-4
@@ -131,10 +136,11 @@ def sample_until_optimum(
 
     Each preparation draws every qubit's bit independently from its exact
     single-qubit distribution; a run counts preparations until all bits
-    are optimal at once.  When the expected count exceeds 1e4 the trial
-    counts are drawn directly from the implied distribution instead
-    (identical law, bounded cost).  Refuses probabilities below 1e-9
-    and, with ResourceLimitError, runs * n above MAX_SAMPLING_DRAWS.
+    are optimal at once.  When the expected count exceeds 1e4, or the
+    expected uniform draws runs * n / p exceed 2**28, the trial counts are
+    drawn directly from the implied geometric law instead (identical law,
+    bounded cost).  Refuses probabilities below 1e-9 and, with
+    ResourceLimitError, runs * n above MAX_SAMPLING_DRAWS.
     """
     runs = check_sampling_request(runs, model.n)
     rng = philox(seed, 0)
@@ -145,7 +151,7 @@ def sample_until_optimum(
             "expected trial count is astronomically large"
         )
     counts = np.zeros(runs, dtype=np.int64)
-    if true_prob * _MAX_LITERAL_EXPECTED >= 1.0:
+    if true_prob * _MAX_LITERAL_EXPECTED >= 1.0 and runs * model.n <= _MAX_LITERAL_DRAWS * true_prob:
         q = qubit_probs(model, params)
         active = np.arange(runs)
         t = 0

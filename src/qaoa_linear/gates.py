@@ -76,6 +76,16 @@ def _check_layers(gammas, betas, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]
     return gammas, betas
 
 
+def _check_phase(gammas, coeffs) -> None:
+    """ValueError, naming the pair, when max|gamma| * max|a| is not a finite
+    float: the largest phase gamma*a the recurrence forms would overflow
+    to inf and its amplitudes to NaN.  Checked at entry, never per step."""
+    gamma = float(np.max(np.abs(gammas), initial=0.0))
+    a = float(np.max(np.abs(coeffs), initial=0.0))
+    if not math.isfinite(gamma * a):
+        raise ValueError(f"phase gamma*a overflows a float: |gamma| = {gamma!r}, |a| = {a!r}")
+
+
 # Signs that fold CPython's complex products into two real products per step;
 # see layer_amplitudes.  Rows: real, imaginary parts; columns: amplitudes v0, v1.
 _TURN_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])[:, :, None, None]
@@ -120,6 +130,7 @@ def bit_amplitudes(a_coeff: float, gammas, betas) -> tuple[complex, complex]:
     """
     coeffs = np.array([LinearIsing((a_coeff,)).coeffs])
     gammas, betas = _check_layers(gammas, betas)
+    _check_phase(gammas, coeffs)
     u = layer_amplitudes(coeffs, gammas[None], betas[None])[:, :, 0, 0]
     return tuple(map(complex, *u.tolist()))
 

@@ -12,13 +12,17 @@ maximize call over probability.qubit_kernel, the same kernel prob_opt
 reduces: every value is prob_opt's, bit for bit.  Every restart of every
 method spends exactly its budget.
 
+Every method has one call shape, runner(objective, rngs, hi, budget) ->
+(values, points) over all of its restarts, held in _RUNNERS in METHODS
+order: maximize builds the restart streams once and makes one call.
 Nelder-Mead and annealing propose one point at a time.  Each of their
 restarts is an endless generator that yields the point it wants scored,
-receives its value and never sees the budget.  All restarts of one
-method advance in lockstep, one objective call scoring the pending point
-of every restart, and stop together after `budget` steps.  Each restart
-keeps its own stream and running best, so the results are bit for bit
-those of running the restarts one after another.
+receives its value and never sees the budget.  _run_lockstep advances
+all restarts of one method together, one objective call scoring the
+pending point of every restart, and stops them after `budget` steps.
+Each restart keeps its own stream and running best, so the results are
+bit for bit those of running the restarts one after another, which is
+what _run_each does for differential evolution and random search.
 
 Differential evolution draws each generation's mutation indices and
 crossover masks from one block of raw Philox words and decodes them with
@@ -38,11 +42,13 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from numbers import Integral
 
 import numpy as np
 
 from .errors import positive_int
+from .gates import _check_phase
 from .ising import LinearIsing
 # bench/tracing.py wraps prob_opt and prob_opt_batch here, so both stay imported.
 from .probability import QaoaParams, prob_opt, prob_opt_batch, qubit_kernel  # noqa: F401
@@ -53,7 +59,6 @@ METHODS = (
     "simulated-annealing",
     "random-search",
 )
-_METHOD_IDS = {name: i for i, name in enumerate(METHODS)}
 
 DEFAULT_BUDGET = 20000
 DEFAULT_RESTARTS = 8
@@ -161,16 +166,10 @@ def _nelder_mead(rng, hi):
     refl, expa, contr, shrink = _NM_COEFFS
     while True:
         x0 = rng.uniform(0.0, hi)
-        verts = [x0]
-        for i in range(dim):
-            v = x0.copy()
-            v[i] += _NM_EDGE
-            verts.append(v)
-        vals = []
-        for v in verts:
-            vals.append((yield v))
-        verts = np.array(verts)
-        vals = np.array(vals)
+        verts = x0 + np.vstack((np.zeros(dim), _NM_EDGE * np.eye(dim)))
+        vals = np.empty(dim + 1)
+        for i in range(dim + 1):
+            vals[i] = yield verts[i]
         while True:
             order = np.argsort(-vals)
             verts = verts[order]
@@ -199,8 +198,8 @@ def _nelder_mead(rng, hi):
                 if fc > max(fr, vals[-1]):
                     verts[-1], vals[-1] = xc, fc
                 else:
-                    for i in range(1, len(verts)):
-                        verts[i] = verts[0] + shrink * (verts[i] - verts[0])
+                    verts[1:] = verts[0] + shrink * (verts[1:] - verts[0])
+                    for i in range(1, dim + 1):
                         vals[i] = yield verts[i]
 
 
@@ -339,27 +338,19 @@ def _random_search(fbatch, rng, hi, budget):
     return best
 
 
-_LOCKSTEP = {0: _nelder_mead, 2: _simulated_annealing}
-_BATCHED = {1: _differential_evolution, 3: _random_search}
-
-
-def _run_lockstep(runner, fbatch, spec: OptimizerSpec, hi):
+def _run_lockstep(method, fbatch, rngs, hi, budget):
     """Advance every restart of a point-at-a-time method together.
 
-    Runs exactly spec.budget steps.  Each step scores the pending point
-    of every restart in one objective call and sends each restart its
+    Runs exactly budget steps.  Each step scores the pending point of
+    every restart in one objective call and sends each restart its
     value.  Returns each restart's best value and point, as two arrays
     in restart order; a strict > keeps a restart's earliest best.
     """
-    method_id = _METHOD_IDS[spec.method]
-    restarts = [
-        runner(_make_rng(spec.seed, method_id, restart), hi)
-        for restart in range(spec.restarts)
-    ]
+    restarts = [method(rng, hi) for rng in rngs]
     points = np.array([next(restart) for restart in restarts])
-    best_vals = np.full(spec.restarts, -math.inf)
+    best_vals = np.full(len(restarts), -math.inf)
     best_xs = points.copy()
-    for step in range(spec.budget):
+    for step in range(budget):
         if step:
             points = np.array([r.send(v) for r, v in zip(restarts, values.tolist())])
         values = fbatch(points)
@@ -368,6 +359,21 @@ def _run_lockstep(runner, fbatch, spec: OptimizerSpec, hi):
             best_vals[better] = values[better]
             best_xs[better] = points[better]
     return best_vals, best_xs
+
+
+def _run_each(method, fbatch, rngs, hi, budget):
+    """Run a batch-at-a-time method's restarts one after another; returns
+    their best values and points in restart order."""
+    return zip(*(method(fbatch, rng, hi, budget) for rng in rngs))
+
+
+# runner(objective, rngs, hi, budget) -> (values, points) over all restarts, in METHODS order
+_RUNNERS = (
+    partial(_run_lockstep, _nelder_mead),
+    partial(_run_each, _differential_evolution),
+    partial(_run_lockstep, _simulated_annealing),
+    partial(_run_each, _random_search),
+)
 
 
 def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationResult:
@@ -384,23 +390,18 @@ def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationRes
     in-box point modulo the period.
     """
     p = positive_int(p, "layer count")
-    method_id = _METHOD_IDS[spec.method]
     period = gamma_period(model)
     gamma_box = period if period is not None else 2.0 * math.pi
+    _check_phase(gamma_box, model.coeffs)
     hi = np.array([gamma_box] * p + [math.pi] * p)
     kernel = qubit_kernel(model)
 
     def objective(xs: np.ndarray) -> np.ndarray:
         return np.multiply.reduce(kernel(xs[:, :p], xs[:, p:]), axis=0)
 
-    if method_id in _LOCKSTEP:
-        values, points = _run_lockstep(_LOCKSTEP[method_id], objective, spec, hi)
-    else:
-        runner = _BATCHED[method_id]
-        values, points = zip(*(
-            runner(objective, _make_rng(spec.seed, method_id, restart), hi, spec.budget)
-            for restart in range(spec.restarts)
-        ))
+    method_id = METHODS.index(spec.method)
+    rngs = [_make_rng(spec.seed, method_id, restart) for restart in range(spec.restarts)]
+    values, points = _RUNNERS[method_id](objective, rngs, hi, spec.budget)
     best = points[int(np.argmax(values))]
     params = QaoaParams(tuple(best[:p]), tuple(best[p:]))
     return OptimizationResult(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProbabilityError, positive_int
-from .gates import _check_angle, _check_layers, layer_amplitudes
+from .gates import _check_angle, _check_layers, _check_phase, layer_amplitudes
 from .ising import LinearIsing, optimal_bits
 
 
@@ -94,6 +94,7 @@ def qubit_kernel(model: LinearIsing):
 
 def qubit_probs(model: LinearIsing, params: QaoaParams) -> np.ndarray:
     """One schedule's (n,) per-qubit terms, in qubit order."""
+    _check_phase(params.gammas, model.coeffs)
     return qubit_kernel(model)(np.array([params.gammas]), np.array([params.betas]))[:, 0]
 
 
@@ -124,6 +125,7 @@ def prob_opt_batch(model: LinearIsing, gammas: np.ndarray, betas: np.ndarray) ->
     gammas, betas = _check_layers(gammas, betas, ndim=2)
     if len(gammas) != len(betas):
         raise ValueError(f"got {len(gammas)} gamma schedules but {len(betas)} beta schedules")
+    _check_phase(gammas, model.coeffs)
     return np.multiply.reduce(qubit_kernel(model)(gammas, betas), axis=0)
 
 
@@ -220,6 +222,7 @@ def overlap_p1(a1: float, a2: float, params: QaoaParams) -> complex:
     if params.p != 1:
         raise ValueError(f"overlap_p1 is defined for p = 1 only, got p = {params.p}")
     coeffs = np.array(LinearIsing((a1, a2)).coeffs)[:, None]
+    _check_phase(params.gammas, coeffs)
     u = layer_amplitudes(coeffs, np.array([params.gammas]), np.array([params.betas]))
     # [part][amplitude][qubit]: qubit 0 holds (u0, u1), qubit 1 holds (w0, w1)
     re, im = u[..., 0].tolist()

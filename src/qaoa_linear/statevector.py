@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .errors import ResourceLimitError
+from .gates import _check_phase
 from .ising import LinearIsing
 from .probability import QaoaParams
 
@@ -58,6 +59,7 @@ def run_ansatz(model: LinearIsing, params: QaoaParams) -> np.ndarray:
         raise ResourceLimitError(
             f"statevector for {n} qubits exceeds the cap of {MAX_QUBITS}"
         )
+    _check_phase(params.gammas, sum(map(abs, model.coeffs)))  # the largest |energy|
     values = _objective_values(model)
     state = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
     for gamma, beta in zip(params.gammas, params.betas):

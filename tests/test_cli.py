@@ -167,6 +167,14 @@ class TestOptimize:
         code, _, _ = run(capsys, "optimize", "--m", "1")
         assert code == EXIT_USAGE
 
+    def test_overflowing_phase_usage_error(self, capsys):
+        # pi * 1e308 is inf: every objective value would be NaN
+        code, _, err = run(
+            capsys, "optimize", "--model", "1e308,3", "--p", "1", "--budget", "10", "--restarts", "1"
+        )
+        assert code == EXIT_USAGE
+        assert "error:" in err
+
 
 class TestTable:
     def test_single_cell_csv(self, capsys):

@@ -14,7 +14,7 @@ from qaoa_linear.experiments import (
     sample_until_optimum,
 )
 from qaoa_linear.ising import LinearIsing, replicate
-from qaoa_linear.optimizers import OptimizerSpec, default_portfolio
+from qaoa_linear.optimizers import OptimizerSpec, default_portfolio, philox
 from qaoa_linear.probability import QaoaParams, prob_opt
 
 LEAN_SPECS = (
@@ -103,6 +103,14 @@ class TestSampling:
         report = sample_until_optimum(model, QaoaParams.zero(1), runs=2000, seed=13)
         assert report.true_prob == pytest.approx(2.0 ** -14, abs=1e-12)
         assert report.mean_trials == pytest.approx(2.0 ** 14, rel=0.10)
+
+    def test_law_draw_regime_bounds_uniform_draws(self):
+        # p = 2.3e-4: about 4300 expected trials, under the trial cutoff, but
+        # 20000 runs on 40 qubits would take about 3.5e9 uniform draws
+        model = replicate(LinearIsing((1.0, 2.0)), 20)
+        report = sample_until_optimum(model, QaoaParams((0.3,), (0.5,)), runs=20000, seed=1)
+        assert report.true_prob == pytest.approx(2.3e-4, rel=0.01)
+        assert report.mean_trials == philox(1, 0).geometric(report.true_prob, 20000).mean()
 
     def test_refuses_degenerate_probability(self):
         model = replicate(LinearIsing((1.0,)), 40)

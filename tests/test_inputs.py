@@ -1,6 +1,6 @@
 """Input rules with one home each: counts (errors.positive_int), seeds
-(optimizers.philox), angle schedules (gates._check_layers) and field
-coefficients (ising.LinearIsing)."""
+(optimizers.philox), angle schedules (gates._check_layers), field
+coefficients (ising.LinearIsing) and phases gamma*a (gates._check_phase)."""
 
 import math
 
@@ -21,10 +21,12 @@ from qaoa_linear.optimizers import OptimizerSpec, maximize
 from qaoa_linear.probability import (
     QaoaParams,
     overlap_p1,
+    prob_opt,
     prob_opt_batch,
     prob_opt_replicated,
     runtime_estimate,
 )
+from qaoa_linear.statevector import run_ansatz
 
 MODEL = LinearIsing((1.0, 2.0))
 PARAMS = QaoaParams((0.3,), (0.7,))
@@ -80,6 +82,20 @@ COEFFICIENT_FAULTS = {
     "0.0": "coefficient 1 is zero; drop the qubit instead",
     "nan": "coefficient 1 is not finite: nan",
     "inf": "coefficient 1 is not finite: inf",
+}
+
+# Finite, accepted inputs whose phase gamma*a overflows: pi * 1e308 is inf.
+# pi is also the optimizer's gamma box edge for (1e308, 3), and the
+# statevector's largest energy 1e308 + 3 rounds to 1e308.
+HUGE = LinearIsing((1e308, 3.0))
+HUGE_PARAMS = QaoaParams((math.pi,), (0.1,))
+PHASE_ENTRY_POINTS = {
+    "prob_opt": lambda: prob_opt(HUGE, HUGE_PARAMS),
+    "prob_opt_batch": lambda: prob_opt_batch(HUGE, [[math.pi]], [[0.1]]),
+    "bit_amplitudes": lambda: bit_amplitudes(1e308, (math.pi,), (0.1,)),
+    "overlap_p1": lambda: overlap_p1(1e308, 3.0, HUGE_PARAMS),
+    "maximize": lambda: maximize(HUGE, 1, TINY[0]),
+    "run_ansatz": lambda: run_ansatz(HUGE, HUGE_PARAMS),
 }
 
 
@@ -142,3 +158,11 @@ def test_coefficient_rule_has_one_message(entry, value):
     with pytest.raises(ValueError) as info:
         COEFFICIENT_ENTRY_POINTS[entry](float(value))
     assert str(info.value) == COEFFICIENT_FAULTS[value]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(PHASE_ENTRY_POINTS))
+def test_phase_rule_has_one_message(entry):
+    with pytest.raises(ValueError) as info:
+        PHASE_ENTRY_POINTS[entry]()
+    assert str(info.value) == "phase gamma*a overflows a float: |gamma| = 3.141592653589793, |a| = 1e+308"
