@@ -6,7 +6,8 @@ the key's value in a --config file, and writes the "# key=value
 (source)" provenance line.  Values resolve flag > config > default; an
 option whose default is REQUIRED has none, so omitting it is a usage
 error, as is a config key that names no option of the command.  Every
-option takes a value: there are no on/off flags.
+option takes a value: there are no on/off flags.  A flag is accepted
+only under its full name; argparse's prefix matching is off.
 
 Once the options resolve, main prints their provenance lines, in table
 order, before the command runs, so a captured output identifies the run
@@ -40,7 +41,6 @@ from .experiments import (
 from .gates import amplitude_to_bit
 from .ising import (
     LinearIsing,
-    consecutive,
     format_model,
     optimal_bits,
     parse_model,
@@ -57,6 +57,7 @@ from .optimizers import (
 )
 from .probability import (
     QaoaParams,
+    _cubic,
     exact_p1_m2_max,
     log_prob_opt,
     overlap_p1,
@@ -189,16 +190,6 @@ def _resolve(ns) -> list[str]:
     return provenance
 
 
-def _model(ns) -> LinearIsing:
-    if ns.model is not None and ns.m is not None:
-        raise UsageError("give either --model or --m, not both")
-    if ns.model is not None:
-        return parse_model(ns.model)
-    if ns.m is not None:
-        return consecutive(ns.m)
-    raise UsageError("a model is required: --model a1,a2,... or --m <size>")
-
-
 def _specs(ns):
     if ns.method == "portfolio":
         return default_portfolio(seed=ns.seed, budget=ns.budget, restarts=ns.restarts)
@@ -236,7 +227,7 @@ def _record(**fields) -> str:
 
 
 def cmd_prob(ns) -> int:
-    model = _model(ns)
+    model = parse_model(ns.model)
     params = QaoaParams(parse_angle_list(ns.gamma), parse_angle_list(ns.beta))
     print(_record(
         prob_opt=prob_opt(model, params), log_prob_opt=log_prob_opt(model, params)
@@ -245,7 +236,7 @@ def cmd_prob(ns) -> int:
 
 
 def cmd_optimize(ns) -> int:
-    result = portfolio_maximize(_model(ns), ns.p, _specs(ns))
+    result = portfolio_maximize(parse_model(ns.model), ns.p, _specs(ns))
     print(_record(
         best_value=result.best_value,
         best_gammas=result.best_gammas,
@@ -270,7 +261,7 @@ def cmd_table(ns) -> int:
 
 def cmd_sample(ns) -> int:
     """Sample at --gamma/--beta, or at the angles optimized for --p layers."""
-    model = _model(ns)
+    model = parse_model(ns.model)
     check_sampling_request(ns.runs, model.n)
     if ns.p is None:
         if ns.gamma is None or ns.beta is None:
@@ -296,7 +287,7 @@ def cmd_sample(ns) -> int:
 
 
 def cmd_emit_circuit(ns) -> int:
-    model = _model(ns)
+    model = parse_model(ns.model)
     with _output(ns.out) as out:
         out.write(emit_linear_solver_circuit(model, ns.width))
     return EXIT_OK
@@ -328,7 +319,7 @@ def _verify_checks(seed: int):
     rng = philox(seed, 99)
 
     root = exact_p1_m2_max()
-    residual = ((5832.0 * root - 6804.0) * root + 1472.0) * root - 8.0
+    residual = _cubic(root)
     yield (
         "exact-p1-m2-root",
         abs(root - 0.882385) <= 1e-6 and abs(residual) <= 1e-9 and root < 1.0,
@@ -390,10 +381,7 @@ def cmd_verify(ns) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK
 
 
-_MODEL = (
-    Option("model", str, help="comma-separated coefficients, e.g. 1,2,3"),
-    Option("m", int, help="shorthand for the model 1,2,...,m"),
-)
+_MODEL = (Option("model", str, REQUIRED, "comma-separated coefficients, e.g. 1,2,3"),)
 _OPTIMIZER = (
     Option("method", str, "portfolio", choices=("portfolio",) + METHODS),
     Option("budget", int, DEFAULT_BUDGET, "objective evaluations per restart"),
@@ -440,10 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qaoa-linear",
         description="Success-probability workbench for the layered ansatz on linear models",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_, options in _COMMANDS:
-        p_ = sub.add_parser(name, help=help_)
+        p_ = sub.add_parser(name, help=help_, allow_abbrev=False)
         p_.add_argument("--config", help="key=value config file; flags override it")
         for opt in options:
             text = opt.help + " (required)" if opt.default is REQUIRED else opt.help

@@ -51,7 +51,7 @@ from .errors import positive_int
 from .gates import _check_phase
 from .ising import LinearIsing
 # bench/tracing.py wraps prob_opt and prob_opt_batch here, so both stay imported.
-from .probability import QaoaParams, prob_opt, prob_opt_batch, qubit_kernel  # noqa: F401
+from .probability import prob_opt, prob_opt_batch, qubit_kernel  # noqa: F401
 
 METHODS = (
     "nelder-mead",
@@ -384,10 +384,11 @@ def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationRes
     periodic in every coordinate, so with a known period the box covers
     all attainable values.  Every restart spends exactly spec.budget
     evaluations, and ties between restarts keep the earliest.  The
-    reported best_value is re-evaluated through prob_opt at the returned
-    angles.  Nelder-Mead starts inside the box but is not confined to it
-    (reflection can step out); reported angles are then equivalent to an
-    in-box point modulo the period.
+    reported best_value is the value the search measured at the returned
+    angles, which is prob_opt's there, bit for bit.  Nelder-Mead starts
+    inside the box but is not confined to it (reflection can step out),
+    so reported angles may lie outside the box, and without a known gamma
+    period they need not equal an in-box point.
     """
     p = positive_int(p, "layer count")
     period = gamma_period(model)
@@ -401,13 +402,16 @@ def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationRes
 
     method_id = METHODS.index(spec.method)
     rngs = [_make_rng(spec.seed, method_id, restart) for restart in range(spec.restarts)]
-    values, points = _RUNNERS[method_id](objective, rngs, hi, spec.budget)
-    best = points[int(np.argmax(values))]
-    params = QaoaParams(tuple(best[:p]), tuple(best[p:]))
+    # Nelder-Mead can reflect past the box, where gamma*a overflows: such a
+    # point scores NaN, which never beats a running best, so nothing changes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, points = _RUNNERS[method_id](objective, rngs, hi, spec.budget)
+    i = int(np.argmax(values))
+    best = points[i].tolist()
     return OptimizationResult(
-        best_value=prob_opt(model, params),
-        best_gammas=params.gammas,
-        best_betas=params.betas,
+        best_value=float(values[i]),
+        best_gammas=tuple(best[:p]),
+        best_betas=tuple(best[p:]),
         evaluations_used=spec.restarts * spec.budget,
         method=spec.method,
     )

@@ -107,11 +107,6 @@ class TestProb:
         assert value_of(out, "prob_opt") == "0"
         assert float(value_of(out, "log_prob_opt")) == pytest.approx(1100 * math.log(0.5))
 
-    def test_m_shorthand(self, capsys):
-        _, out_a, _ = run(capsys, "prob", "--m", "2", "--gamma", "0.2", "--beta", "0.5")
-        _, out_b, _ = run(capsys, "prob", "--model", "1,2", "--gamma", "0.2", "--beta", "0.5")
-        assert value_of(out_a, "prob_opt") == value_of(out_b, "prob_opt")
-
     def test_provenance_lines(self, capsys):
         _, out, _ = run(capsys, "prob", "--model", "1,2", "--gamma", "0", "--beta", "0")
         assert "# model=1,2 (flag)" in out
@@ -132,18 +127,12 @@ class TestProb:
         assert code == EXIT_USAGE
         assert "pi/0" in err
 
-    def test_model_and_m_conflict(self, capsys):
-        code, _, _ = run(
-            capsys, "prob", "--model", "1", "--m", "2", "--gamma", "0", "--beta", "0"
-        )
-        assert code == EXIT_USAGE
-
 
 class TestOptimize:
     def test_single_method_lean(self, capsys):
         code, out, _ = run(
             capsys,
-            "optimize", "--m", "1", "--p", "1",
+            "optimize", "--model", "1", "--p", "1",
             "--method", "nelder-mead", "--budget", "2000", "--restarts", "2",
         )
         assert code == EXIT_OK
@@ -153,18 +142,18 @@ class TestOptimize:
 
     def test_portfolio_default(self, capsys):
         code, out, _ = run(
-            capsys, "optimize", "--m", "2", "--p", "1", "--budget", "1500", "--restarts", "2"
+            capsys, "optimize", "--model", "1,2", "--p", "1", "--budget", "1500", "--restarts", "2"
         )
         assert code == EXIT_OK
         assert float(value_of(out, "best_value")) == pytest.approx(0.882385, abs=1e-3)
         assert int(value_of(out, "evaluations_used")) <= 4 * 1500 * 2
 
     def test_unknown_method_usage_error(self, capsys):
-        code, _, _ = run(capsys, "optimize", "--m", "1", "--p", "1", "--method", "newton")
+        code, _, _ = run(capsys, "optimize", "--model", "1", "--p", "1", "--method", "newton")
         assert code == EXIT_USAGE
 
     def test_missing_p_usage_error(self, capsys):
-        code, _, _ = run(capsys, "optimize", "--m", "1")
+        code, _, _ = run(capsys, "optimize", "--model", "1")
         assert code == EXIT_USAGE
 
     def test_overflowing_phase_usage_error(self, capsys):
@@ -279,7 +268,7 @@ class TestSample:
     def test_auto_optimizes_first(self, capsys):
         code, out, _ = run(
             capsys,
-            "sample", "--m", "1", "--p", "1", "--runs", "50",
+            "sample", "--model", "1", "--p", "1", "--runs", "50",
             "--method", "nelder-mead", "--budget", "2000", "--restarts", "2",
         )
         assert code == EXIT_OK
@@ -309,13 +298,13 @@ class TestSample:
     def test_auto_conflicts_with_angles(self, capsys):
         code, _, err = run(
             capsys,
-            "sample", "--m", "1", "--p", "1", "--gamma", "0", "--beta", "0", "--runs", "10",
+            "sample", "--model", "1", "--p", "1", "--gamma", "0", "--beta", "0", "--runs", "10",
         )
         assert code == EXIT_USAGE
         assert "--p" in err and "not both" in err
 
     def test_needs_angles_or_p(self, capsys):
-        code, _, err = run(capsys, "sample", "--m", "1", "--gamma", "0", "--runs", "10")
+        code, _, err = run(capsys, "sample", "--model", "1", "--gamma", "0", "--runs", "10")
         assert code == EXIT_USAGE
         assert "sample needs --gamma and --beta, or --p" in err
 
@@ -463,12 +452,16 @@ LEAN = ("--method", "random-search", "--budget", "10", "--restarts", "1")
 
 # (command, required key, a value for it, the other arguments of a run)
 REQUIRED_OPTIONS = [
+    ("prob", "model", "1,2", ("--gamma", "0", "--beta", "0")),
     ("prob", "gamma", "0", ("--model", "1,2", "--beta", "0")),
     ("prob", "beta", "0", ("--model", "1,2", "--gamma", "0")),
-    ("optimize", "p", "1", ("--m", "1") + LEAN),
+    ("optimize", "model", "1", ("--p", "1") + LEAN),
+    ("optimize", "p", "1", ("--model", "1") + LEAN),
     ("table", "M", "1", ("--P", "1") + LEAN),
     ("table", "P", "1", ("--M", "1") + LEAN),
+    ("sample", "model", "1", ("--runs", "5", "--gamma", "0", "--beta", "0")),
     ("sample", "runs", "5", ("--model", "1", "--gamma", "0", "--beta", "0")),
+    ("emit-circuit", "model", "1", ("--width", "2")),
     ("emit-circuit", "width", "2", ("--model", "1",)),
     ("scan", "p", "1", ("--m-max", "1") + LEAN),
     ("scan", "m-max", "1", ("--p", "1") + LEAN),
@@ -491,6 +484,20 @@ class TestUsageRules:
         code, out, err = run(capsys, command, "--config", str(cfg), *args)
         assert code == EXIT_OK, err
         assert f"# {key}={value} (config)" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prob", "--mod", "1,2", "--gamma", "0", "--beta", "0"),
+            ("table", "--M", "1", "--P", "1", "--bud", "10"),
+            ("prob", "--m", "2", "--gamma", "0", "--beta", "0"),
+        ],
+        ids=["model-prefix", "budget-prefix", "removed-m"],
+    )
+    def test_only_full_option_names(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
 
     @pytest.mark.parametrize(
         "argv,first",

@@ -165,10 +165,18 @@ class TestBudgets:
 class TestResultContract:
     @pytest.mark.parametrize("method", METHODS)
     def test_soundness_reevaluation(self, method):
+        # the reported value is the one the search measured, which is prob_opt's
         model = LinearIsing((1.0, -2.0, 3.0))
         result = maximize(model, 2, OptimizerSpec(method, budget=600, seed=5))
         again = prob_opt(model, QaoaParams(result.best_gammas, result.best_betas))
-        assert abs(again - result.best_value) <= 1e-12
+        assert again == result.best_value
+
+    @pytest.mark.filterwarnings("error")
+    def test_nelder_mead_past_the_box_is_silent(self):
+        # pi * 5e307 is finite, but reflected points with gamma past pi overflow
+        spec = OptimizerSpec("nelder-mead", budget=2000, seed=1, restarts=4)
+        result = maximize(LinearIsing((5e307, 3.0)), 1, spec)
+        assert result.best_value == pytest.approx(0.99589, abs=1e-5)
 
     def test_never_exceeds_one(self):
         for seed in range(5):
