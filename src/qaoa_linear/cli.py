@@ -16,7 +16,8 @@ records; tables are CSV; --out writes to a file in place of stdout,
 through a temporary file beside it that is created before the work
 starts and renamed over it only when the command succeeds.  Exit
 status: 0 success, 1 failed check or refused computation, 2 usage
-error, 3 I/O error.
+error, 3 I/O error, 141 stdout closed by its reader (128 + SIGPIPE, as a
+shell reports a writer stopped by a closed pipe).
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_PIPE = 141
 
 
 class UsageError(ValueError):
@@ -437,19 +439,40 @@ def build_parser() -> argparse.ArgumentParser:
         for opt in options:
             text = opt.help + " (required)" if opt.default is REQUIRED else opt.help
             p_.add_argument(f"--{opt.key}", type=opt.parse, choices=opt.choices, help=text)
-        p_.set_defaults(func=func, options=options)
+        p_.set_defaults(func=func, options=options, parser=p_)
     return parser
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor, if it has one, at os.devnull."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the command's usage, not the top-level one
+            ns.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        print(*_resolve(ns), sep="\n")
-        return ns.func(ns)
+        try:
+            print(*_resolve(ns), sep="\n")
+            return ns.func(ns)
+        finally:
+            sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader is gone; what is left unflushed goes to devnull, so the
+        # interpreter's flush at exit stays silent
+        _stdout_to_devnull()
+        return EXIT_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -100,7 +100,8 @@ def build_tables(m_max: int, p_max: int, specs=None) -> ProbTable:
     base = np.empty_like(prob)
     for i, m in enumerate(m_values):
         row = prob[i]
-        base[i] = np.where(row > 0.0, row ** (-1.0 / m), np.inf)
+        # the power only where row > 0: an underflowed cell's base is inf, with no warning
+        base[i] = np.power(row, -1.0 / m, out=np.full_like(row, np.inf), where=row > 0.0)
     return ProbTable(m_values=m_values, p_values=p_values, prob=prob, base=base)
 
 

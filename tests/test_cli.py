@@ -1,8 +1,11 @@
 """Command-line behavior: flags, config, provenance, exit codes."""
 
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from qaoa_linear.cli import (
     EXIT_CHECK,
     EXIT_IO,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     UsageError,
     main,
@@ -499,6 +503,13 @@ class TestUsageRules:
         assert code == EXIT_USAGE
         assert out == ""
 
+    def test_unknown_flag_reported_with_command_usage(self, capsys):
+        code, out, err = run(capsys, "prob", "--m", "2", "--gamma", "0", "--beta", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage: qaoa-linear prob ")
+        assert "unrecognized arguments: --m 2" in err
+
     @pytest.mark.parametrize(
         "argv,first",
         [
@@ -525,6 +536,21 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_not_an_io_error(self, unbuffered):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qaoa_linear", "verify", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # before the child has imported anything, let alone written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_PIPE
+        assert err == b""
 
     def test_help_marks_required_options(self, capsys):
         code, out, _ = run(capsys, "table", "--help")

@@ -60,6 +60,17 @@ class TestBuildTables:
             column = table.prob[:, j]
             assert all(column[i + 1] <= column[i] + 1e-6 for i in range(len(column) - 1))
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_cell_has_infinite_base_without_warning(self, monkeypatch):
+        def best(m, p, specs):
+            return 0.0 if (m, p) == (2, 1) else 0.5
+
+        monkeypatch.setattr(experiments, "_best_at_cell", best)
+        table = build_tables(2, 2, LEAN_SPECS)
+        assert table.base_at(2, 1) == math.inf
+        assert table.base_at(2, 2) == 0.5 ** (-1.0 / 2)
+        assert "2,1,0.000000,inf\n" in table.to_csv()
+
     def test_csv_format(self):
         table = build_tables(1, 1, LEAN_SPECS)
         text = table.to_csv()

@@ -13,6 +13,7 @@ from qaoa_linear.ising import LinearIsing, optimal_bits
 from qaoa_linear.probability import QaoaParams, prob_opt
 from qaoa_linear.statevector import (
     BLOCK,
+    _objective_blocks,
     _objective_values,
     expectation,
     outcome_probability,
@@ -106,7 +107,15 @@ class TestBlocks:
         rng = np.random.default_rng(23)
         for n in (1, 2, 5, 9, 14, 15, 16, 18):
             model, _ = _signed_instance(rng, n, 1)
-            assert np.array_equal(_objective_values(model), _per_qubit_values(model))
+            assert np.array_equal(_objective_values(model.coeffs), _per_qubit_values(model))
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_objective_blocks_concatenate_to_per_qubit_formula(self, n):
+        model, _ = _signed_instance(np.random.default_rng(31 + n), n, 1)
+        blocks = list(_objective_blocks(model))
+        assert [start for start, _ in blocks] == list(range(0, 1 << n, BLOCK))
+        values = np.concatenate([values for _, values in blocks])
+        assert np.array_equal(values, _per_qubit_values(model))
 
     @pytest.mark.parametrize("n, p", [(16, 2), (16, 3), (17, 2), (17, 3)])
     def test_states_across_blocks(self, n, p):
@@ -118,10 +127,10 @@ class TestBlocks:
         assert abs(dense - prob_opt(model, params)) <= 1e-10
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
-    def test_peak_memory_is_state_and_values_plus_blocks(self):
+    def test_peak_memory_is_state_plus_blocks(self):
         n = 18
         model, params = _signed_instance(np.random.default_rng(29), n, 3)
-        bound = 1.5 * ((1 << n) * 16 + (1 << n) * 8)  # complex state + float values
+        bound = (1 << n) * 16 + 4 * BLOCK * 16  # complex state + a few complex blocks
         tracemalloc.start()
         try:
             run_ansatz(model, params)
