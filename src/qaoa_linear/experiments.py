@@ -22,19 +22,21 @@ from .probability import QaoaParams, prob_opt, qubit_probs
 # experiments, they are hangs.
 MIN_SAMPLING_PROB = 1e-9
 
-# Sampling refuses runs * n above this before it allocates: each step of
-# the per-preparation path draws an (active runs x n) matrix of uniforms,
-# 128 MiB of float64 at the cap.
+# Sampling refuses runs * n above this before it allocates.  It bounds the
+# uniforms of one step of the per-preparation path, whose arrays are
+# O(runs) int64 beside one block of _SAMPLING_BLOCK float64 uniforms.
 MAX_SAMPLING_DRAWS = 1 << 24
 
-# The per-preparation simulation runs only while the expected trial count,
-# which sets its Python loop's step count, stays within
-# _MAX_LITERAL_EXPECTED, and its expected uniform draws, runs * n / p,
-# within _MAX_LITERAL_DRAWS (about 3 s at 8e7 draws/s on one core of a
-# 2-CPU x86-64 host).  Past either it draws the trial counts directly
-# from the implied law (same distribution).
+# The per-preparation simulation runs only while the expected trial count
+# stays within _MAX_LITERAL_EXPECTED, and its expected uniform draws,
+# runs * n / p, within _MAX_LITERAL_DRAWS (about 2.5 s at 1.1e8 draws/s on
+# one core of a 2-CPU x86-64 host).  Past either it draws the trial counts
+# directly from the implied law (same distribution).
 _MAX_LITERAL_EXPECTED = 1e4
 _MAX_LITERAL_DRAWS = 1 << 28
+
+# The per-preparation path draws its uniforms in blocks of about this many.
+_SAMPLING_BLOCK = 1 << 16
 
 # A cell counts as perfect when its best probability reaches 1 - ANOMALY_TOL.
 ANOMALY_TOL = 1e-4
@@ -130,18 +132,72 @@ def check_sampling_request(runs: int, n: int) -> int:
     return runs
 
 
+def _hit_rows(rng: np.random.Generator, q: np.ndarray, block: int, first: int) -> np.ndarray:
+    """Draw `block` rows of uniforms; the numbers of the hit rows, the first row being `first`."""
+    rows = np.flatnonzero((rng.random((block, q.size)) < q).all(axis=1))
+    rows += first
+    return rows
+
+
+def _preparation_counts(rng: np.random.Generator, q: np.ndarray, runs: int) -> np.ndarray:
+    """Trial counts of `runs` runs that each prepare until every bit is optimal.
+
+    A row is one preparation, len(q) uniforms; it is a hit when each is
+    below its qubit's q.  Rows go step by step, and within a step over the
+    runs still active in ascending order: step t holds every active run's
+    t-th preparation.  These are the uniforms, in the order, that drawing
+    one (active runs x n) matrix per step reads, so the counts are that
+    loop's.  They are drawn in blocks of about _SAMPLING_BLOCK uniforms, and
+    the loop visits only the steps that hold a hit; the hit-free steps
+    before one are skipped by arithmetic.
+    """
+    n = q.size
+    block = max(1, _SAMPLING_BLOCK // n)
+    counts = np.zeros(runs, dtype=np.int64)
+    active = np.arange(runs)
+    hits = np.empty(0, dtype=np.int64)  # hit rows drawn but not yet reached, ascending
+    drawn = 0  # rows drawn so far
+    s, t = 0, 1  # first row and number of the current step
+    while active.size:
+        a = active.size
+        parts = [hits]
+        # draw until a hit lies ahead; the first is then the last part's first
+        while not parts[-1].size:
+            parts.append(_hit_rows(rng, q, block, drawn))
+            drawn += block
+        skipped = (parts[-1][0] - s) // a
+        s += skipped * a
+        t += skipped
+        while drawn < s + a:
+            parts.append(_hit_rows(rng, q, block, drawn))
+            drawn += block
+        hits = np.concatenate(parts)
+        del parts  # free the block arrays before the step's own temporaries
+        k = np.searchsorted(hits, s + a)
+        ended = hits[:k]
+        ended -= s  # in place: these hits are dropped below
+        counts[active[ended]] = t
+        active = np.delete(active, ended)
+        hits = hits[k:]
+        s += a
+        t += 1
+    return counts
+
+
 def sample_until_optimum(
     model: LinearIsing, params: QaoaParams, runs: int, seed: int = 1
 ) -> SamplingReport:
     """Measure how many preparations it takes to see the optimal string.
 
     Each preparation draws every qubit's bit independently from its exact
-    single-qubit distribution; a run counts preparations until all bits
-    are optimal at once.  When the expected count exceeds 1e4, or the
-    expected uniform draws runs * n / p exceed 2**28, the trial counts are
-    drawn directly from the implied geometric law instead (identical law,
-    bounded cost).  Refuses probabilities below 1e-9 and, with
-    ResourceLimitError, runs * n above MAX_SAMPLING_DRAWS.
+    single-qubit distribution, one uniform from philox(seed, 0) per qubit;
+    a run counts preparations until all bits are optimal at once.  The
+    uniforms are drawn in fixed blocks, so memory is O(runs) beside one
+    block.  When the expected count exceeds 1e4, or the expected uniform
+    draws runs * n / p exceed 2**28, the trial counts are drawn directly
+    from the implied geometric law instead (identical law, bounded cost).
+    Refuses probabilities below 1e-9 and, with ResourceLimitError,
+    runs * n above MAX_SAMPLING_DRAWS.
     """
     runs = check_sampling_request(runs, model.n)
     rng = philox(seed, 0)
@@ -151,16 +207,8 @@ def sample_until_optimum(
             f"success probability {true_prob:.3e} is below {MIN_SAMPLING_PROB:.0e}; "
             "expected trial count is astronomically large"
         )
-    counts = np.zeros(runs, dtype=np.int64)
     if true_prob * _MAX_LITERAL_EXPECTED >= 1.0 and runs * model.n <= _MAX_LITERAL_DRAWS * true_prob:
-        q = qubit_probs(model, params)
-        active = np.arange(runs)
-        t = 0
-        while active.size:
-            t += 1
-            hit = (rng.random((active.size, q.size)) < q).all(axis=1)
-            counts[active[hit]] = t
-            active = active[~hit]
+        counts = _preparation_counts(rng, qubit_probs(model, params), runs)
     else:
         counts = rng.geometric(true_prob, runs)
     mean = float(counts.mean())

@@ -1,7 +1,9 @@
 """Table builder, sampling harness, and scan driver."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from qaoa_linear import cli, experiments
@@ -16,6 +18,25 @@ from qaoa_linear.experiments import (
 from qaoa_linear.ising import LinearIsing, replicate
 from qaoa_linear.optimizers import OptimizerSpec, default_portfolio, philox
 from qaoa_linear.probability import QaoaParams, prob_opt
+
+
+def _per_step_counts(rng, q, runs):
+    """The sampler's per-step loop: one (active runs x n) matrix of uniforms a step."""
+    counts = np.zeros(runs, dtype=np.int64)
+    active = np.arange(runs)
+    t = 0
+    while active.size:
+        t += 1
+        hit = (rng.random((active.size, q.size)) < q).all(axis=1)
+        counts[active[hit]] = t
+        active = active[~hit]
+    return counts
+
+
+def _assert_counts_match(q, runs, seed):
+    expected = _per_step_counts(philox(seed, 0), q, runs)
+    assert np.array_equal(experiments._preparation_counts(philox(seed, 0), q, runs), expected)
+
 
 LEAN_SPECS = (
     OptimizerSpec("nelder-mead", budget=2000, restarts=2),
@@ -138,6 +159,41 @@ class TestSampling:
     def test_run_count_validated(self):
         with pytest.raises(ValueError):
             sample_until_optimum(LinearIsing((1.0,)), QaoaParams.zero(1), runs=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_counts_match_per_step_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            n = int(rng.integers(1, 41))
+            runs = int(rng.integers(1, 401))
+            # per-qubit probabilities whose product, P, is at least 1e-3
+            q = (10.0 ** rng.uniform(-3.0, 0.0)) ** rng.dirichlet(np.ones(n))
+            _assert_counts_match(q, runs, seed)
+
+    @pytest.mark.parametrize(
+        "n, runs, success",
+        [
+            (5, 300, 1.0),  # every row a hit
+            (4, 40000, 0.5),  # one step spans several blocks
+            (experiments._SAMPLING_BLOCK + 3, 20, 0.3),  # one row a block
+        ],
+    )
+    def test_counts_match_per_step_loop_at_edges(self, n, runs, success):
+        _assert_counts_match(np.full(n, success ** (1.0 / n)), runs, seed=9)
+
+    def test_per_preparation_memory_is_bounded(self):
+        runs = 20000
+        model = replicate(LinearIsing((1.0, 2.0)), 18)
+        params = QaoaParams((0.4728,), (math.pi / 4,))
+        tracemalloc.start()
+        try:
+            report = sample_until_optimum(model, params, runs=runs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # still the per-preparation path: about 6.9e6 expected uniform draws
+        assert runs * model.n / report.true_prob < experiments._MAX_LITERAL_DRAWS
+        assert peak <= 2 * experiments._SAMPLING_BLOCK * 8 + 64 * runs
 
     def test_draw_cap_refuses_before_allocating(self):
         model = LinearIsing((1.0,) * 4)
