@@ -22,21 +22,27 @@ from .probability import QaoaParams, prob_opt, qubit_probs
 # experiments, they are hangs.
 MIN_SAMPLING_PROB = 1e-9
 
-# Sampling refuses runs * n above this before it allocates.  It bounds the
-# uniforms of one step of the per-preparation path, whose arrays are
-# O(runs) int64 beside one block of _SAMPLING_BLOCK float64 uniforms.
+# Sampling refuses runs * n above this before it allocates, so either path's
+# O(runs) int64 counts stay within 8 * 2**24 / n bytes; the per-preparation
+# path adds one block of at most _SAMPLING_BLOCK float64 uniforms.
 MAX_SAMPLING_DRAWS = 1 << 24
 
 # The per-preparation simulation runs only while the expected trial count
-# stays within _MAX_LITERAL_EXPECTED, and its expected uniform draws,
-# runs * n / p, within _MAX_LITERAL_DRAWS (about 2.5 s at 1.1e8 draws/s on
-# one core of a 2-CPU x86-64 host).  Past either it draws the trial counts
-# directly from the implied law (same distribution).
+# stays within _MAX_LITERAL_EXPECTED, and runs * n / p within
+# _MAX_LITERAL_DRAWS.  That product is an upper bound on its uniform draws,
+# since a preparation stops drawing at its first missed qubit: at q ~ 0.88
+# a qubit it draws about 8 uniforms, whatever n.  Past either bound it
+# draws the trial counts directly from the implied law (same distribution).
 _MAX_LITERAL_EXPECTED = 1e4
 _MAX_LITERAL_DRAWS = 1 << 28
 
-# The per-preparation path draws its uniforms in blocks of about this many.
+# The per-preparation path decides about this many preparations a block,
+# and a numpy call of it draws about this many uniforms.
 _SAMPLING_BLOCK = 1 << 16
+
+# The sampler's Philox word.  Optimizer words are (method << 32) | restart
+# with restart < 2**32, and verify's is 99, so no other stream shares it.
+SAMPLER_WORD = 1 << 63
 
 # A cell counts as perfect when its best probability reaches 1 - ANOMALY_TOL.
 ANOMALY_TOL = 1e-4
@@ -126,61 +132,47 @@ def check_sampling_request(runs: int, n: int) -> int:
     runs = positive_int(runs, "runs")
     if runs * n > MAX_SAMPLING_DRAWS:
         raise ResourceLimitError(
-            f"{runs} runs on {n} qubits need {runs * n} draws per step; "
+            f"{runs} runs on {n} qubits make runs * n = {runs * n}; "
             f"the cap is {MAX_SAMPLING_DRAWS}"
         )
     return runs
 
 
-def _hit_rows(rng: np.random.Generator, q: np.ndarray, block: int, first: int) -> np.ndarray:
-    """Draw `block` rows of uniforms; the numbers of the hit rows, the first row being `first`."""
-    rows = np.flatnonzero((rng.random((block, q.size)) < q).all(axis=1))
-    rows += first
-    return rows
-
-
 def _preparation_counts(rng: np.random.Generator, q: np.ndarray, runs: int) -> np.ndarray:
     """Trial counts of `runs` runs that each prepare until every bit is optimal.
 
-    A row is one preparation, len(q) uniforms; it is a hit when each is
-    below its qubit's q.  Rows go step by step, and within a step over the
-    runs still active in ascending order: step t holds every active run's
-    t-th preparation.  These are the uniforms, in the order, that drawing
-    one (active runs x n) matrix per step reads, so the counts are that
-    loop's.  They are drawn in blocks of about _SAMPLING_BLOCK uniforms, and
-    the loop visits only the steps that hold a hit; the hit-free steps
-    before one are skipped by arithmetic.
+    Preparations form one stream, and a run's count is the gap between
+    consecutive hits.  The stream goes in blocks of min(_SAMPLING_BLOCK,
+    ceil(remaining runs / P)) preparations.  A block is decided qubit by
+    qubit in ascending order of q, so the likeliest miss comes first, and a
+    qubit's uniform is drawn only for the preparations that have not yet
+    missed: about 1 / (1 - q) uniforms a preparation, not len(q).  Each
+    draw covers k = max(1, _SAMPLING_BLOCK // alive) qubits at once, so a
+    numpy call does about one block of work however few preparations are
+    left alive.
     """
+    q = np.sort(q)
     n = q.size
-    block = max(1, _SAMPLING_BLOCK // n)
-    counts = np.zeros(runs, dtype=np.int64)
-    active = np.arange(runs)
-    hits = np.empty(0, dtype=np.int64)  # hit rows drawn but not yet reached, ascending
-    drawn = 0  # rows drawn so far
-    s, t = 0, 1  # first row and number of the current step
-    while active.size:
-        a = active.size
-        parts = [hits]
-        # draw until a hit lies ahead; the first is then the last part's first
-        while not parts[-1].size:
-            parts.append(_hit_rows(rng, q, block, drawn))
-            drawn += block
-        skipped = (parts[-1][0] - s) // a
-        s += skipped * a
-        t += skipped
-        while drawn < s + a:
-            parts.append(_hit_rows(rng, q, block, drawn))
-            drawn += block
-        hits = np.concatenate(parts)
-        del parts  # free the block arrays before the step's own temporaries
-        k = np.searchsorted(hits, s + a)
-        ended = hits[:k]
-        ended -= s  # in place: these hits are dropped below
-        counts[active[ended]] = t
-        active = np.delete(active, ended)
-        hits = hits[k:]
-        s += a
-        t += 1
+    prob = float(np.prod(q))
+    counts = np.empty(runs, dtype=np.int64)
+    done = 0  # runs whose count is known
+    start = 0  # stream index of the block's first preparation
+    last = -1  # stream index of the last hit
+    while done < runs:
+        size = min(_SAMPLING_BLOCK, math.ceil((runs - done) / prob))
+        alive = np.arange(size)
+        j = 0
+        while j < n and alive.size:
+            k = min(n - j, max(1, _SAMPLING_BLOCK // alive.size))
+            alive = alive[(rng.random((alive.size, k)) < q[j:j + k]).all(axis=1)]
+            j += k
+        hits = alive[:runs - done]
+        if hits.size:
+            hits += start
+            counts[done:done + hits.size] = np.diff(hits, prepend=last)
+            last = int(hits[-1])
+            done += hits.size
+        start += size
     return counts
 
 
@@ -190,17 +182,18 @@ def sample_until_optimum(
     """Measure how many preparations it takes to see the optimal string.
 
     Each preparation draws every qubit's bit independently from its exact
-    single-qubit distribution, one uniform from philox(seed, 0) per qubit;
-    a run counts preparations until all bits are optimal at once.  The
-    uniforms are drawn in fixed blocks, so memory is O(runs) beside one
-    block.  When the expected count exceeds 1e4, or the expected uniform
-    draws runs * n / p exceed 2**28, the trial counts are drawn directly
-    from the implied geometric law instead (identical law, bounded cost).
-    Refuses probabilities below 1e-9 and, with ResourceLimitError,
-    runs * n above MAX_SAMPLING_DRAWS.
+    single-qubit distribution, one uniform from philox(seed, SAMPLER_WORD)
+    per qubit, and stops at its first non-optimal bit; a run counts
+    preparations until all bits are optimal at once.  Memory is O(runs)
+    beside one block of about 2**16 preparations.  When the expected count
+    exceeds 1e4, or runs * n / p (an upper bound on the uniform draws)
+    exceeds 2**28, the trial counts are drawn directly from the implied
+    geometric law instead (identical law, bounded cost).  Refuses
+    probabilities below 1e-9 and, with ResourceLimitError, runs * n above
+    MAX_SAMPLING_DRAWS.
     """
     runs = check_sampling_request(runs, model.n)
-    rng = philox(seed, 0)
+    rng = philox(seed, SAMPLER_WORD)
     true_prob = prob_opt(model, params)
     if true_prob < MIN_SAMPLING_PROB:
         raise DegenerateProbabilityError(

@@ -10,32 +10,66 @@ from qaoa_linear import cli, experiments
 from qaoa_linear.errors import DegenerateProbabilityError, ResourceLimitError
 from qaoa_linear.experiments import (
     MAX_SAMPLING_DRAWS,
+    SAMPLER_WORD,
     build_tables,
     cell_seed,
     conjecture_scan,
     sample_until_optimum,
 )
-from qaoa_linear.ising import LinearIsing, replicate
-from qaoa_linear.optimizers import OptimizerSpec, default_portfolio, philox
-from qaoa_linear.probability import QaoaParams, prob_opt
+from qaoa_linear.ising import LinearIsing, consecutive, replicate
+from qaoa_linear.optimizers import METHODS, OptimizerSpec, default_portfolio, philox
+from qaoa_linear.probability import QaoaParams, prob_opt, qubit_probs
 
 
-def _per_step_counts(rng, q, runs):
-    """The sampler's per-step loop: one (active runs x n) matrix of uniforms a step."""
-    counts = np.zeros(runs, dtype=np.int64)
-    active = np.arange(runs)
-    t = 0
-    while active.size:
-        t += 1
-        hit = (rng.random((active.size, q.size)) < q).all(axis=1)
-        counts[active[hit]] = t
-        active = active[~hit]
-    return counts
+def _per_preparation_counts(rng, q, runs):
+    """The sampler's stream in plain Python: one rng.random() per uniform.
+
+    Blocks of min(_SAMPLING_BLOCK, ceil(remaining / P)) preparations, each
+    decided over the qubits in ascending q, k = max(1, _SAMPLING_BLOCK //
+    alive) qubits a draw, every alive preparation's k uniforms in turn.
+    """
+    q = np.sort(q)
+    prob = float(np.prod(q))
+    q = q.tolist()
+    block = experiments._SAMPLING_BLOCK
+    counts = []
+    start, last = 0, -1
+    while len(counts) < runs:
+        size = min(block, math.ceil((runs - len(counts)) / prob))
+        alive = list(range(size))
+        j = 0
+        while j < len(q) and alive:
+            k = min(len(q) - j, max(1, block // len(alive)))
+            survivors = []
+            for i in alive:
+                u = [rng.random() for _ in range(k)]
+                if all(u[c] < q[j + c] for c in range(k)):
+                    survivors.append(i)
+            alive = survivors
+            j += k
+        for i in alive[: runs - len(counts)]:
+            counts.append(start + i - last)
+            last = start + i
+        start += size
+    return np.array(counts, dtype=np.int64)
 
 
 def _assert_counts_match(q, runs, seed):
-    expected = _per_step_counts(philox(seed, 0), q, runs)
-    assert np.array_equal(experiments._preparation_counts(philox(seed, 0), q, runs), expected)
+    expected = _per_preparation_counts(philox(seed, SAMPLER_WORD), q, runs)
+    assert np.array_equal(experiments._preparation_counts(philox(seed, SAMPLER_WORD), q, runs), expected)
+
+
+class _CountingRng:
+    """Passes random() through to a generator and counts the uniforms it returns."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = 0
+
+    def random(self, size):
+        u = self.rng.random(size)
+        self.drawn += u.size
+        return u
 
 
 LEAN_SPECS = (
@@ -142,7 +176,7 @@ class TestSampling:
         model = replicate(LinearIsing((1.0, 2.0)), 20)
         report = sample_until_optimum(model, QaoaParams((0.3,), (0.5,)), runs=20000, seed=1)
         assert report.true_prob == pytest.approx(2.3e-4, rel=0.01)
-        assert report.mean_trials == philox(1, 0).geometric(report.true_prob, 20000).mean()
+        assert report.mean_trials == philox(1, SAMPLER_WORD).geometric(report.true_prob, 20000).mean()
 
     def test_refuses_degenerate_probability(self):
         model = replicate(LinearIsing((1.0,)), 40)
@@ -160,8 +194,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_until_optimum(LinearIsing((1.0,)), QaoaParams.zero(1), runs=0)
 
+    def test_sampler_word_is_its_own(self):
+        # optimizer words are (method << 32) | restart, restart < 2**32; verify's is 99
+        assert SAMPLER_WORD < 1 << 64
+        assert SAMPLER_WORD >> 32 >= len(METHODS)
+        assert SAMPLER_WORD != 99
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_counts_match_per_step_loop(self, seed):
+    def test_counts_match_per_preparation_reference(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(25):
             n = int(rng.integers(1, 41))
@@ -173,13 +213,34 @@ class TestSampling:
     @pytest.mark.parametrize(
         "n, runs, success",
         [
-            (5, 300, 1.0),  # every row a hit
-            (4, 40000, 0.5),  # one step spans several blocks
-            (experiments._SAMPLING_BLOCK + 3, 20, 0.3),  # one row a block
+            (5, 300, 1.0),  # every preparation a hit
+            (4, 40000, 0.5),  # the runs span several blocks
+            (experiments._SAMPLING_BLOCK + 3, 20, 0.3),  # many qubits to one draw
         ],
     )
-    def test_counts_match_per_step_loop_at_edges(self, n, runs, success):
+    def test_counts_match_per_preparation_reference_at_edges(self, n, runs, success):
         _assert_counts_match(np.full(n, success ** (1.0 / n)), runs, seed=9)
+
+    def test_counts_fit_the_geometric_law(self):
+        q = np.array([0.4, 0.7, 0.8, 0.9, 0.99])  # P = 0.2
+        prob = float(np.prod(q))
+        runs = 20000
+        counts = experiments._preparation_counts(philox(5, SAMPLER_WORD), q, runs)
+        # cells 1..19 and the tail from 20; each expects 70 or more counts
+        observed = np.bincount(np.minimum(counts, 20), minlength=21)[1:]
+        law = prob * (1.0 - prob) ** np.arange(19)
+        expected = runs * np.append(law, 1.0 - law.sum())
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 < 43.82  # the 0.999 quantile of chi-square with 19 degrees of freedom
+
+    def test_stops_drawing_at_the_first_miss(self):
+        # (1..7) x 10 at its own p = 1 optimum: P about 1.2e-4 on 70 qubits
+        model = replicate(consecutive(7), 10)
+        q = qubit_probs(model, QaoaParams((2.9836469,), (math.pi * 3 / 4,)))
+        prob, runs = float(np.prod(q)), 200
+        rng = _CountingRng(philox(1, SAMPLER_WORD))
+        experiments._preparation_counts(rng, q, runs)
+        assert 0 < rng.drawn < runs * model.n / prob / 4
 
     def test_per_preparation_memory_is_bounded(self):
         runs = 20000
@@ -194,6 +255,18 @@ class TestSampling:
         # still the per-preparation path: about 6.9e6 expected uniform draws
         assert runs * model.n / report.true_prob < experiments._MAX_LITERAL_DRAWS
         assert peak <= 2 * experiments._SAMPLING_BLOCK * 8 + 64 * runs
+
+    def test_dense_request_memory_is_in_place(self):
+        # counts are written in place; collecting each block's hits and
+        # concatenating them would hold 16 * runs bytes at the end
+        runs = 1 << 22
+        tracemalloc.start()
+        try:
+            experiments._preparation_counts(philox(1, SAMPLER_WORD), np.array([0.5]), runs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * runs + 4 * experiments._SAMPLING_BLOCK * 8
 
     def test_draw_cap_refuses_before_allocating(self):
         model = LinearIsing((1.0,) * 4)
