@@ -176,6 +176,23 @@ def _preparation_counts(rng: np.random.Generator, q: np.ndarray, runs: int) -> n
     return counts
 
 
+def _ci95_halfwidth(counts: np.ndarray, mean: float) -> float:
+    """1.96 sample standard deviations of the mean (0.0 for one run).
+
+    The second pass of a two-pass variance: the squared deviations from
+    `mean` are summed over _SAMPLING_BLOCK-sized slices of counts, so no
+    O(runs) temporary is built beside counts.
+    """
+    runs = counts.size
+    if runs == 1:
+        return 0.0
+    squares = 0.0
+    for start in range(0, runs, _SAMPLING_BLOCK):
+        deviations = counts[start:start + _SAMPLING_BLOCK] - mean
+        squares += float(np.dot(deviations, deviations))
+    return 1.96 * math.sqrt(squares / (runs - 1)) / math.sqrt(runs)
+
+
 def sample_until_optimum(
     model: LinearIsing, params: QaoaParams, runs: int, seed: int = 1
 ) -> SamplingReport:
@@ -184,11 +201,11 @@ def sample_until_optimum(
     Each preparation draws every qubit's bit independently from its exact
     single-qubit distribution, one uniform from philox(seed, SAMPLER_WORD)
     per qubit, and stops at its first non-optimal bit; a run counts
-    preparations until all bits are optimal at once.  Memory is O(runs)
-    beside one block of about 2**16 preparations.  When the expected count
-    exceeds 1e4, or runs * n / p (an upper bound on the uniform draws)
-    exceeds 2**28, the trial counts are drawn directly from the implied
-    geometric law instead (identical law, bounded cost).  Refuses
+    preparations until all bits are optimal at once.  Memory is one O(runs)
+    count array beside one block of about 2**16 preparations.  When the
+    expected count exceeds 1e4, or runs * n / p (an upper bound on the
+    uniform draws) exceeds 2**28, the trial counts are drawn directly from
+    the implied geometric law instead (identical law, bounded cost).  Refuses
     probabilities below 1e-9 and, with ResourceLimitError, runs * n above
     MAX_SAMPLING_DRAWS.
     """
@@ -205,17 +222,13 @@ def sample_until_optimum(
     else:
         counts = rng.geometric(true_prob, runs)
     mean = float(counts.mean())
-    if runs > 1:
-        half = 1.96 * float(counts.std(ddof=1)) / math.sqrt(runs)
-    else:
-        half = 0.0
     return SamplingReport(
         model=model,
         params=params,
         true_prob=true_prob,
         runs=runs,
         mean_trials=mean,
-        ci95_halfwidth=half,
+        ci95_halfwidth=_ci95_halfwidth(counts, mean),
     )
 
 

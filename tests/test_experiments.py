@@ -268,6 +268,26 @@ class TestSampling:
             tracemalloc.stop()
         assert peak <= 12 * runs + 4 * experiments._SAMPLING_BLOCK * 8
 
+    def test_dense_request_report_holds_one_count_array(self):
+        # the confidence half-width sums block by block; counts.std would
+        # build a float64 copy of every deviation, 16 * runs bytes in all
+        runs = 1 << 22
+        tracemalloc.start()
+        try:
+            report = sample_until_optimum(LinearIsing((1.0,)), QaoaParams.zero(1), runs, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.mean_trials == pytest.approx(2.0, rel=0.01)
+        assert peak <= 12 * runs + 4 * experiments._SAMPLING_BLOCK * 8
+
+    def test_halfwidth_equals_the_sample_deviation(self):
+        counts = np.random.default_rng(41).geometric(0.01, 3 * experiments._SAMPLING_BLOCK + 5)
+        mean = float(counts.mean())
+        expected = 1.96 * float(counts.std(ddof=1)) / math.sqrt(counts.size)
+        assert experiments._ci95_halfwidth(counts, mean) == pytest.approx(expected, rel=1e-12)
+        assert experiments._ci95_halfwidth(counts[:1], float(counts[0])) == 0.0
+
     def test_draw_cap_refuses_before_allocating(self):
         model = LinearIsing((1.0,) * 4)
         runs = MAX_SAMPLING_DRAWS // 4 + 1

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from qaoa_linear.errors import ResourceLimitError
-from qaoa_linear.gates import bit_amplitudes
+from qaoa_linear.gates import bit_amplitudes, rx
 from qaoa_linear.ising import LinearIsing, optimal_bits
 from qaoa_linear.probability import QaoaParams, prob_opt
 from qaoa_linear.statevector import (
     BLOCK,
+    _GROUP,
+    _mixers,
     _objective_blocks,
     _objective_values,
     expectation,
@@ -63,6 +65,26 @@ class TestRunAnsatz:
     def test_qubit_cap_refused_before_allocation(self):
         with pytest.raises(ResourceLimitError):
             run_ansatz(LinearIsing((1.0,) * 21), QaoaParams.zero(1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_energy_refused(self):
+        # each |a_l| is finite, but 1e308 + 1e308 is not: the objective values overflow
+        with pytest.raises(ValueError, match=r"sum\|a_l\| over 2 qubits overflows a float: inf"):
+            run_ansatz(LinearIsing((1e308, 1e308)), QaoaParams.zero(1))
+
+
+class TestMixers:
+    @pytest.mark.parametrize("beta", [0.0, 0.3, -1.2, math.pi / 4, 2.9])
+    def test_kronecker_powers_of_rx(self, beta):
+        mixers = _mixers(beta)
+        assert len(mixers) == _GROUP + 1
+        power = np.ones((1, 1))
+        for k in range(1, _GROUP + 1):
+            power = np.kron(power, rx(2 * beta))
+            assert mixers[k].shape == (1 << k, 1 << k)
+            assert np.array_equal(mixers[k], power)
+            identity = mixers[k].conj().T @ mixers[k]
+            assert np.max(np.abs(identity - np.eye(1 << k))) <= 1e-14
 
 
 def _per_qubit_values(model):
@@ -126,6 +148,16 @@ class TestBlocks:
         dense = outcome_probability(state, optimal_bits(model))
         assert abs(dense - prob_opt(model, params)) <= 1e-10
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(1, 2), (5, 2), (6, 3), (11, 2), (15, 2), (20, 1)])
+    def test_states_across_groups(self, n, p):
+        # group edges: one short group, one full group, a full group plus one,
+        # a short third group, three full groups, and five high qubits in one group
+        model, params = _signed_instance(np.random.default_rng(n * 10 + p), n, p)
+        state = run_ansatz(model, params)
+        assert np.max(np.abs(state - _unblocked_run_ansatz(model, params))) <= 1e-15
+        dense = outcome_probability(state, optimal_bits(model))
+        assert abs(dense - prob_opt(model, params)) <= 1e-10
 
     def test_peak_memory_is_state_plus_blocks(self):
         n = 18
@@ -202,3 +234,9 @@ class TestExpectation:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             expectation(LinearIsing((1.0, 2.0)), np.ones(2, dtype=complex))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_energy_refused(self):
+        state = np.full(4, 0.5, dtype=complex)
+        with pytest.raises(ValueError, match=r"sum\|a_l\| over 2 qubits overflows a float: inf"):
+            expectation(LinearIsing((1e308, 1e308)), state)
