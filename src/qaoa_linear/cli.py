@@ -118,8 +118,9 @@ def parse_angle_list(text: str) -> tuple[float, ...]:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and # comments ignored."""
+    """key=value lines; blank lines and # comments ignored; a key set twice is a usage error."""
     entries: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -128,7 +129,13 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+            key = key.strip()
+            if key in linenos:
+                raise UsageError(
+                    f"{path}:{lineno}: duplicate key {key!r}, first set on line {linenos[key]}"
+                )
+            linenos[key] = lineno
+            entries[key] = value.strip()
     return entries
 
 

@@ -12,8 +12,9 @@ class ResourceLimitError(QaoaLinearError):
 
     Raised before any allocation happens: by the dense statevector
     simulator when the qubit count is above the allowed maximum, by the
-    sampling harness when runs times qubits is above its cap, and by the
-    circuit encoder when a register is wider than MAX_REGISTER_WIDTH.
+    sampling harness when runs times qubits is above its cap, by the
+    circuit encoder when a register is wider than MAX_REGISTER_WIDTH, and
+    by OptimizerSpec when restarts is above optimizers.MAX_RESTARTS.
     """
 
 

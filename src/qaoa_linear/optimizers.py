@@ -23,17 +23,6 @@ pending point of every restart, and stops them after `budget` steps.
 Each restart keeps its own stream and running best, so the results are
 bit for bit those of running the restarts one after another, which is
 what _run_each does for differential evolution and random search.
-
-Differential evolution draws each generation's mutation indices and
-crossover masks from one block of raw Philox words and decodes them with
-array operations into exactly what per-individual choice, random and
-integers calls draw (_de_draws).  This relies on numpy internals: Lemire
-bounded draws on 32-bit halves of raw words, buffered in the bit
-generator's has_uint32/uinteger state; Floyd's algorithm and a two-swap
-shuffle in choice; doubles as (x >> 11) * 2**-53.  A rejected bounded
-draw or a half-full buffer falls back to the per-individual calls.
-TestDifferentialEvolutionDraws in tests/test_optimizers.py pins these
-internals.
 """
 
 from __future__ import annotations
@@ -47,7 +36,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import positive_int
+from .errors import ResourceLimitError, positive_int
 from .gates import _check_phase
 from .ising import LinearIsing
 # bench/tracing.py wraps prob_opt and prob_opt_batch here, so both stay imported.
@@ -62,6 +51,9 @@ METHODS = (
 
 DEFAULT_BUDGET = 20000
 DEFAULT_RESTARTS = 8
+# maximize builds one Philox generator per restart (about 0.7 KB each) before
+# scoring anything, and a restart's stream word needs restart < 2**32
+MAX_RESTARTS = 1 << 16
 
 # Nelder-Mead shape coefficients: reflection, expansion, contraction, shrink
 _NM_COEFFS = (1.0, 2.0, 0.5, 0.5)
@@ -82,7 +74,8 @@ _RS_CHUNK = 512
 @dataclass(frozen=True)
 class OptimizerSpec:
     """One method's configuration; budget is per restart, and every
-    restart spends all of it: evaluations_used = restarts x budget."""
+    restart spends all of it: evaluations_used = restarts x budget.
+    Raises ResourceLimitError when restarts is above MAX_RESTARTS."""
 
     method: str
     budget: int = DEFAULT_BUDGET
@@ -96,6 +89,10 @@ class OptimizerSpec:
             )
         object.__setattr__(self, "budget", positive_int(self.budget, "budget"))
         object.__setattr__(self, "restarts", positive_int(self.restarts, "restarts"))
+        if self.restarts > MAX_RESTARTS:
+            raise ResourceLimitError(
+                f"restarts {self.restarts} is above MAX_RESTARTS = {MAX_RESTARTS}"
+            )
         object.__setattr__(self, "seed", _seed_int(self.seed))
 
 
@@ -152,7 +149,7 @@ def philox(seed: int, word: int) -> np.random.Generator:
 
 
 def _make_rng(seed: int, method_id: int, restart: int) -> np.random.Generator:
-    # Independent stream per (seed, method, restart); restart < 2**32.
+    # Independent stream per (seed, method, restart); restart < MAX_RESTARTS < 2**32.
     return philox(seed, (method_id << 32) | restart)
 
 
@@ -234,65 +231,21 @@ def _simulated_annealing(rng, hi):
             best_x, best_f = cand, fc
 
 
-def _de_loop_draws(rng, m, pop_size, dim):
-    """Mutation indices in [0, pop_size - 1) and crossover masks of m
-    individuals, drawn one individual at a time in stream order."""
-    idx = np.empty((m, 3), dtype=np.int64)
-    mask = np.empty((m, dim), dtype=bool)
-    for i in range(m):
-        idx[i] = rng.choice(pop_size - 1, 3, replace=False)
-        mask[i] = rng.random(dim) < _DE_CROSSOVER
-        mask[i, rng.integers(dim)] = True
-    return idx, mask
+def _de_draws(rng, pop_size, dim):
+    """One generation's mutation indices and crossover masks.
 
-
-def _lemire_rejects(leftover, bounds) -> bool:
-    """Whether numpy's bounded 32-bit draw would redraw any of these."""
-    return bool((leftover < (2**32 - bounds) % bounds).any())
-
-
-def _de_draws(rng, m, pop_size, dim):
-    """_de_loop_draws decoded from one block of raw Philox words, bit for bit.
-
-    Each individual of the loop makes six bounded draws through numpy's
-    Lemire method, (u32 * bound) >> 32, on 32-bit halves of raw words,
-    low half first: choice's Floyd draws with bounds n - 2, n - 1, n
-    (n = pop_size - 1) and its shuffle's two swaps with bounds 3 and 2,
-    then integers(dim).  Between the fifth and the sixth come dim doubles
-    (x >> 11) * 2**-53, one raw word each, which leave the 32-bit buffer
-    holding the sixth draw.  With that buffer empty, an individual is
-    therefore three words of bounded draws and dim words of doubles.
-    When the buffer is not empty, or a draw would be rejected (about one
-    in 10**8), the state is restored and the loop draws instead.
-    Needs dim >= 2 (dim = 2p), so that integers(dim) draws.
+    Row i holds three distinct indices in [0, pop_size - 1), uniform over
+    ordered triples, and a mask with at least one True column.
     """
-    bitgen = rng.bit_generator
-    before = bitgen.state
-    if not before["has_uint32"]:
-        words = bitgen.random_raw(m * (3 + dim)).reshape(m, 3 + dim)
-        halves = np.stack((words[:, :3] & 0xFFFFFFFF, words[:, :3] >> 32), axis=2)
-        n = pop_size - 1
-        bounds = np.array([n - 2, n - 1, n, 3, 2, dim], dtype=np.uint64)
-        scaled = halves.reshape(m, 6) * bounds
-        if not _lemire_rejects(scaled & 0xFFFFFFFF, bounds):
-            r = (scaled >> 32).astype(np.int64)
-            # Floyd: the draw at step j is kept unless already taken, then j.
-            idx = r[:, :3].copy()
-            idx[idx[:, 1] == idx[:, 0], 1] = n - 2
-            idx[(idx[:, 2] == idx[:, 0]) | (idx[:, 2] == idx[:, 1]), 2] = n - 1
-            rows = np.arange(m)
-            for i, col in ((2, 3), (1, 4)):  # shuffle: swap i with r[:, col]
-                held = idx[rows, r[:, col]]
-                idx[rows, r[:, col]] = idx[:, i]
-                idx[:, i] = held
-            mask = (words[:, 3:] >> 11) * 2.0**-53 < _DE_CROSSOVER
-            mask[rows, r[:, 5]] = True
-            after = bitgen.state
-            after["uinteger"] = int(words[-1, 2] >> 32)  # the loop leaves it spent
-            bitgen.state = after
-            return idx, mask
-        bitgen.state = before
-    return _de_loop_draws(rng, m, pop_size, dim)
+    n = pop_size - 1
+    idx = rng.integers(0, (n, n - 1, n - 2), size=(pop_size, 3))
+    i0, i1, i2 = idx.T  # views: each shift skips the indices already taken
+    i1 += i1 >= i0
+    i2 += i2 >= np.minimum(i0, i1)
+    i2 += i2 >= np.maximum(i0, i1)
+    mask = rng.random((pop_size, dim)) < _DE_CROSSOVER
+    mask[np.arange(pop_size), rng.integers(dim, size=pop_size)] = True
+    return idx, mask
 
 
 def _keep_best(best, xs, vals):
@@ -306,8 +259,9 @@ def _keep_best(best, xs, vals):
 def _differential_evolution(fbatch, rng, hi, budget):
     """rand/1/bin with F = 0.7, CR = 0.9, trial points clipped to the box.
 
-    The first population and the last generation are cut to the budget.
-    Returns the best (value, point).
+    The first population and the last generation are cut to the budget;
+    a cut generation still draws whole, so a larger budget repeats a
+    smaller one's points.  Returns the best (value, point).
     """
     dim = hi.size
     pop_size = _DE_POP_PER_DIM * dim
@@ -316,7 +270,8 @@ def _differential_evolution(fbatch, rng, hi, budget):
     best = _keep_best((-math.inf, None), pop, vals)
     for used in range(pop_size, budget, pop_size):
         m = min(pop_size, budget - used)
-        idx, mask = _de_draws(rng, m, pop_size, dim)
+        idx, mask = _de_draws(rng, pop_size, dim)
+        idx, mask = idx[:m], mask[:m]
         idx += idx >= np.arange(m)[:, None]  # never pick the parent
         mutant = pop[idx[:, 0]] + _DE_WEIGHT * (pop[idx[:, 1]] - pop[idx[:, 2]])
         trials = np.where(mask, np.clip(mutant, 0.0, hi), pop[:m])

@@ -168,6 +168,12 @@ class TestOptimize:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    def test_unbounded_restarts_refused(self, capsys):
+        # one generator per restart would be built before any scoring
+        code, _, err = run(capsys, "optimize", "--model", "1", "--p", "1", "--restarts", "100000000")
+        assert code == EXIT_CHECK
+        assert "refused" in err and "MAX_RESTARTS" in err
+
 
 class TestTable:
     def test_single_cell_csv(self, capsys):
@@ -450,6 +456,14 @@ class TestConfigFile:
         cfg.write_text("model 1,2\n")
         code, _, _ = run(capsys, "prob", "--config", str(cfg))
         assert code == EXIT_USAGE
+
+    def test_duplicate_key_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=1,2\ngamma=0\n# a comment\nbeta=0\n gamma = pi/4\n")
+        code, out, err = run(capsys, "prob", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "prob_opt" not in out
+        assert f"{cfg}:5: duplicate key 'gamma', first set on line 2" in err
 
 
 LEAN = ("--method", "random-search", "--budget", "10", "--restarts", "1")
