@@ -118,7 +118,10 @@ def parse_angle_list(text: str) -> tuple[float, ...]:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and # comments ignored; a key set twice is a usage error."""
+    """key=value lines; blank lines and # comments ignored.
+
+    An empty key, or a key set twice, is a usage error naming its line.
+    """
     entries: dict[str, str] = {}
     linenos: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
@@ -130,6 +133,8 @@ def load_config(path: str) -> dict[str, str]:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, value = line.partition("=")
             key = key.strip()
+            if not key:
+                raise UsageError(f"{path}:{lineno}: empty key in {line!r}")
             if key in linenos:
                 raise UsageError(
                     f"{path}:{lineno}: duplicate key {key!r}, first set on line {linenos[key]}"

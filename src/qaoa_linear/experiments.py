@@ -16,28 +16,19 @@ import numpy as np
 from .errors import DegenerateProbabilityError, ResourceLimitError, positive_int
 from .ising import LinearIsing, consecutive
 from .optimizers import default_portfolio, philox, portfolio_maximize
-from .probability import QaoaParams, prob_opt, qubit_probs
+from .probability import QaoaParams, prob_opt
 
-# Sampling refuses below this; expected trial counts past 1e9 are not
-# experiments, they are hangs.
+# Sampling refuses below this.  A run of 1e9 preparations is no experiment
+# anyone performs, and further down the law breaks: an underflowed P = 0
+# has none, and from P ~ 1e-19 numpy's draws clip at the int64 maximum.
 MIN_SAMPLING_PROB = 1e-9
 
-# Sampling refuses runs * n above this before it allocates, so either path's
-# O(runs) int64 counts stay within 8 * 2**24 / n bytes; the per-preparation
-# path adds one block of at most _SAMPLING_BLOCK float64 uniforms.
+# Sampling refuses runs * n above this before it allocates, so the O(runs)
+# int64 counts stay within 8 * 2**24 / n bytes.
 MAX_SAMPLING_DRAWS = 1 << 24
 
-# The per-preparation simulation runs only while the expected trial count
-# stays within _MAX_LITERAL_EXPECTED, and runs * n / p within
-# _MAX_LITERAL_DRAWS.  That product is an upper bound on its uniform draws,
-# since a preparation stops drawing at its first missed qubit: at q ~ 0.88
-# a qubit it draws about 8 uniforms, whatever n.  Past either bound it
-# draws the trial counts directly from the implied law (same distribution).
-_MAX_LITERAL_EXPECTED = 1e4
-_MAX_LITERAL_DRAWS = 1 << 28
-
-# The per-preparation path decides about this many preparations a block,
-# and a numpy call of it draws about this many uniforms.
+# The CI half-width sums its squared deviations over slices of this many
+# counts, so no O(runs) temporary is built beside the counts.
 _SAMPLING_BLOCK = 1 << 16
 
 # The sampler's Philox word.  Optimizer words are (method << 32) | restart
@@ -138,44 +129,6 @@ def check_sampling_request(runs: int, n: int) -> int:
     return runs
 
 
-def _preparation_counts(rng: np.random.Generator, q: np.ndarray, runs: int) -> np.ndarray:
-    """Trial counts of `runs` runs that each prepare until every bit is optimal.
-
-    Preparations form one stream, and a run's count is the gap between
-    consecutive hits.  The stream goes in blocks of min(_SAMPLING_BLOCK,
-    ceil(remaining runs / P)) preparations.  A block is decided qubit by
-    qubit in ascending order of q, so the likeliest miss comes first, and a
-    qubit's uniform is drawn only for the preparations that have not yet
-    missed: about 1 / (1 - q) uniforms a preparation, not len(q).  Each
-    draw covers k = max(1, _SAMPLING_BLOCK // alive) qubits at once, so a
-    numpy call does about one block of work however few preparations are
-    left alive.
-    """
-    q = np.sort(q)
-    n = q.size
-    prob = float(np.prod(q))
-    counts = np.empty(runs, dtype=np.int64)
-    done = 0  # runs whose count is known
-    start = 0  # stream index of the block's first preparation
-    last = -1  # stream index of the last hit
-    while done < runs:
-        size = min(_SAMPLING_BLOCK, math.ceil((runs - done) / prob))
-        alive = np.arange(size)
-        j = 0
-        while j < n and alive.size:
-            k = min(n - j, max(1, _SAMPLING_BLOCK // alive.size))
-            alive = alive[(rng.random((alive.size, k)) < q[j:j + k]).all(axis=1)]
-            j += k
-        hits = alive[:runs - done]
-        if hits.size:
-            hits += start
-            counts[done:done + hits.size] = np.diff(hits, prepend=last)
-            last = int(hits[-1])
-            done += hits.size
-        start += size
-    return counts
-
-
 def _ci95_halfwidth(counts: np.ndarray, mean: float) -> float:
     """1.96 sample standard deviations of the mean (0.0 for one run).
 
@@ -198,15 +151,12 @@ def sample_until_optimum(
 ) -> SamplingReport:
     """Measure how many preparations it takes to see the optimal string.
 
-    Each preparation draws every qubit's bit independently from its exact
-    single-qubit distribution, one uniform from philox(seed, SAMPLER_WORD)
-    per qubit, and stops at its first non-optimal bit; a run counts
-    preparations until all bits are optimal at once.  Memory is one O(runs)
-    count array beside one block of about 2**16 preparations.  When the
-    expected count exceeds 1e4, or runs * n / p (an upper bound on the
-    uniform draws) exceeds 2**28, the trial counts are drawn directly from
-    the implied geometric law instead (identical law, bounded cost).  Refuses
-    probabilities below 1e-9 and, with ResourceLimitError, runs * n above
+    A preparation yields the optimal string with probability P =
+    prob_opt(model, params), independently of the others, so a run's
+    preparation count until the first success is geometric with parameter
+    P.  Each run's count is drawn from that law on philox(seed, SAMPLER_WORD);
+    the counts depend only on the seed, P and runs.  Refuses probabilities
+    below MIN_SAMPLING_PROB and, with ResourceLimitError, runs * n above
     MAX_SAMPLING_DRAWS.
     """
     runs = check_sampling_request(runs, model.n)
@@ -217,10 +167,8 @@ def sample_until_optimum(
             f"success probability {true_prob:.3e} is below {MIN_SAMPLING_PROB:.0e}; "
             "expected trial count is astronomically large"
         )
-    if true_prob * _MAX_LITERAL_EXPECTED >= 1.0 and runs * model.n <= _MAX_LITERAL_DRAWS * true_prob:
-        counts = _preparation_counts(rng, qubit_probs(model, params), runs)
-    else:
-        counts = rng.geometric(true_prob, runs)
+    # prob_opt can round a certain success to just above 1, which geometric refuses
+    counts = rng.geometric(min(true_prob, 1.0), runs)
     mean = float(counts.mean())
     return SamplingReport(
         model=model,

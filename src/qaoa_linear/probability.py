@@ -10,9 +10,8 @@ qubit l.  Everything here is exact (no sampling, no statevector).
 
 qubit_kernel squares each qubit's optimal-bit amplitude from
 gates.layer_amplitudes, the package's one single-qubit recurrence.
-prob_opt, log_prob_opt, prob_opt_batch, the sampler's per-qubit law and
-the optimizers' objective are reductions over it; overlap_p1 reads the
-amplitudes themselves.
+prob_opt, log_prob_opt, prob_opt_batch and the optimizers' objective are
+reductions over it; overlap_p1 reads the amplitudes themselves.
 """
 
 from __future__ import annotations

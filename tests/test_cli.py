@@ -465,6 +465,14 @@ class TestConfigFile:
         assert "prob_opt" not in out
         assert f"{cfg}:5: duplicate key 'gamma', first set on line 2" in err
 
+    def test_empty_key_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=1,2\ngamma=0\nbeta=0\n = 3\n")
+        code, out, err = run(capsys, "prob", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "prob_opt" not in out
+        assert f"{cfg}:4: empty key in '= 3'" in err
+
 
 LEAN = ("--method", "random-search", "--budget", "10", "--restarts", "1")
 

@@ -18,58 +18,7 @@ from qaoa_linear.experiments import (
 )
 from qaoa_linear.ising import LinearIsing, consecutive, replicate
 from qaoa_linear.optimizers import METHODS, OptimizerSpec, default_portfolio, philox
-from qaoa_linear.probability import QaoaParams, prob_opt, qubit_probs
-
-
-def _per_preparation_counts(rng, q, runs):
-    """The sampler's stream in plain Python: one rng.random() per uniform.
-
-    Blocks of min(_SAMPLING_BLOCK, ceil(remaining / P)) preparations, each
-    decided over the qubits in ascending q, k = max(1, _SAMPLING_BLOCK //
-    alive) qubits a draw, every alive preparation's k uniforms in turn.
-    """
-    q = np.sort(q)
-    prob = float(np.prod(q))
-    q = q.tolist()
-    block = experiments._SAMPLING_BLOCK
-    counts = []
-    start, last = 0, -1
-    while len(counts) < runs:
-        size = min(block, math.ceil((runs - len(counts)) / prob))
-        alive = list(range(size))
-        j = 0
-        while j < len(q) and alive:
-            k = min(len(q) - j, max(1, block // len(alive)))
-            survivors = []
-            for i in alive:
-                u = [rng.random() for _ in range(k)]
-                if all(u[c] < q[j + c] for c in range(k)):
-                    survivors.append(i)
-            alive = survivors
-            j += k
-        for i in alive[: runs - len(counts)]:
-            counts.append(start + i - last)
-            last = start + i
-        start += size
-    return np.array(counts, dtype=np.int64)
-
-
-def _assert_counts_match(q, runs, seed):
-    expected = _per_preparation_counts(philox(seed, SAMPLER_WORD), q, runs)
-    assert np.array_equal(experiments._preparation_counts(philox(seed, SAMPLER_WORD), q, runs), expected)
-
-
-class _CountingRng:
-    """Passes random() through to a generator and counts the uniforms it returns."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.drawn = 0
-
-    def random(self, size):
-        u = self.rng.random(size)
-        self.drawn += u.size
-        return u
+from qaoa_linear.probability import QaoaParams
 
 
 LEAN_SPECS = (
@@ -150,6 +99,14 @@ class TestSampling:
         assert report.ci95_halfwidth == 0.0
         assert report.true_prob == pytest.approx(1.0, abs=1e-12)
 
+    def test_probability_rounded_above_one_means_one_trial(self):
+        # the exact success is 1, but the product formula rounds it to 1 + 2 ulp
+        params = QaoaParams((0.7853981633956807,), (0.785398163396736,))
+        report = sample_until_optimum(LinearIsing((1.0,)), params, runs=200, seed=3)
+        assert report.true_prob > 1.0
+        assert report.mean_trials == 1.0
+        assert report.ci95_halfwidth == 0.0
+
     def test_uniform_four_qubits(self):
         report = sample_until_optimum(
             LinearIsing((1.0,) * 4), QaoaParams.zero(1), runs=4000, seed=7
@@ -170,13 +127,23 @@ class TestSampling:
         assert report.true_prob == pytest.approx(2.0 ** -14, abs=1e-12)
         assert report.mean_trials == pytest.approx(2.0 ** 14, rel=0.10)
 
-    def test_law_draw_regime_bounds_uniform_draws(self):
-        # p = 2.3e-4: about 4300 expected trials, under the trial cutoff, but
-        # 20000 runs on 40 qubits would take about 3.5e9 uniform draws
-        model = replicate(LinearIsing((1.0, 2.0)), 20)
-        report = sample_until_optimum(model, QaoaParams((0.3,), (0.5,)), runs=20000, seed=1)
-        assert report.true_prob == pytest.approx(2.3e-4, rel=0.01)
-        assert report.mean_trials == philox(1, SAMPLER_WORD).geometric(report.true_prob, 20000).mean()
+    @pytest.mark.parametrize(
+        "model, gamma, beta, runs, seed, prob",
+        [
+            # p = 2.3e-4 on 40 qubits: 20000 runs, about 3.5e9 qubit draws if simulated
+            (replicate(LinearIsing((1.0, 2.0)), 20), 0.3, 0.5, 20000, 1, 2.3e-4),
+            (LinearIsing((1.0, 2.0)), 0.4728, math.pi / 4, 10000, 11, 0.882),
+            # (1..7) x 10 at its own p = 1 optimum: 70 qubits
+            (replicate(consecutive(7), 10), 2.9836469, math.pi * 3 / 4, 200, 1, 1.18e-4),
+        ],
+        ids=["wide", "dense", "replicated-chain"],
+    )
+    def test_law_draw_regime_bounds_uniform_draws(self, model, gamma, beta, runs, seed, prob):
+        # every request, dense or sparse, draws its counts from the geometric law alone
+        report = sample_until_optimum(model, QaoaParams((gamma,), (beta,)), runs=runs, seed=seed)
+        assert report.true_prob == pytest.approx(prob, rel=0.01)
+        law = philox(seed, SAMPLER_WORD).geometric(report.true_prob, runs)
+        assert report.mean_trials == law.mean()
 
     def test_refuses_degenerate_probability(self):
         model = replicate(LinearIsing((1.0,)), 40)
@@ -200,73 +167,17 @@ class TestSampling:
         assert SAMPLER_WORD >> 32 >= len(METHODS)
         assert SAMPLER_WORD != 99
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_counts_match_per_preparation_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(25):
-            n = int(rng.integers(1, 41))
-            runs = int(rng.integers(1, 401))
-            # per-qubit probabilities whose product, P, is at least 1e-3
-            q = (10.0 ** rng.uniform(-3.0, 0.0)) ** rng.dirichlet(np.ones(n))
-            _assert_counts_match(q, runs, seed)
-
-    @pytest.mark.parametrize(
-        "n, runs, success",
-        [
-            (5, 300, 1.0),  # every preparation a hit
-            (4, 40000, 0.5),  # the runs span several blocks
-            (experiments._SAMPLING_BLOCK + 3, 20, 0.3),  # many qubits to one draw
-        ],
-    )
-    def test_counts_match_per_preparation_reference_at_edges(self, n, runs, success):
-        _assert_counts_match(np.full(n, success ** (1.0 / n)), runs, seed=9)
-
-    def test_counts_fit_the_geometric_law(self):
-        q = np.array([0.4, 0.7, 0.8, 0.9, 0.99])  # P = 0.2
-        prob = float(np.prod(q))
-        runs = 20000
-        counts = experiments._preparation_counts(philox(5, SAMPLER_WORD), q, runs)
-        # cells 1..19 and the tail from 20; each expects 70 or more counts
-        observed = np.bincount(np.minimum(counts, 20), minlength=21)[1:]
-        law = prob * (1.0 - prob) ** np.arange(19)
-        expected = runs * np.append(law, 1.0 - law.sum())
-        chi2 = float(((observed - expected) ** 2 / expected).sum())
-        assert chi2 < 43.82  # the 0.999 quantile of chi-square with 19 degrees of freedom
-
-    def test_stops_drawing_at_the_first_miss(self):
-        # (1..7) x 10 at its own p = 1 optimum: P about 1.2e-4 on 70 qubits
-        model = replicate(consecutive(7), 10)
-        q = qubit_probs(model, QaoaParams((2.9836469,), (math.pi * 3 / 4,)))
-        prob, runs = float(np.prod(q)), 200
-        rng = _CountingRng(philox(1, SAMPLER_WORD))
-        experiments._preparation_counts(rng, q, runs)
-        assert 0 < rng.drawn < runs * model.n / prob / 4
-
     def test_per_preparation_memory_is_bounded(self):
         runs = 20000
         model = replicate(LinearIsing((1.0, 2.0)), 18)
         params = QaoaParams((0.4728,), (math.pi / 4,))
         tracemalloc.start()
         try:
-            report = sample_until_optimum(model, params, runs=runs)
+            sample_until_optimum(model, params, runs=runs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # still the per-preparation path: about 6.9e6 expected uniform draws
-        assert runs * model.n / report.true_prob < experiments._MAX_LITERAL_DRAWS
         assert peak <= 2 * experiments._SAMPLING_BLOCK * 8 + 64 * runs
-
-    def test_dense_request_memory_is_in_place(self):
-        # counts are written in place; collecting each block's hits and
-        # concatenating them would hold 16 * runs bytes at the end
-        runs = 1 << 22
-        tracemalloc.start()
-        try:
-            experiments._preparation_counts(philox(1, SAMPLER_WORD), np.array([0.5]), runs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * runs + 4 * experiments._SAMPLING_BLOCK * 8
 
     def test_dense_request_report_holds_one_count_array(self):
         # the confidence half-width sums block by block; counts.std would
