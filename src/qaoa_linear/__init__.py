@@ -22,7 +22,7 @@ from .experiments import (
     conjecture_scan,
     sample_until_optimum,
 )
-from .gates import HADAMARD, KET_PLUS, amplitude_to_bit, apply, rx, rz
+from .gates import amplitude_to_bit, rx, rz
 from .ising import (
     LinearIsing,
     consecutive,
@@ -60,8 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateProbabilityError",
-    "HADAMARD",
-    "KET_PLUS",
     "LinearIsing",
     "METHODS",
     "OptimizationResult",
@@ -74,7 +72,6 @@ __all__ = [
     "SamplingReport",
     "ScanEntry",
     "amplitude_to_bit",
-    "apply",
     "build_tables",
     "cell_seed",
     "conjecture_scan",

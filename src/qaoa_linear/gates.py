@@ -23,9 +23,6 @@ from .ising import LinearIsing
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-KET_PLUS = np.array([SQRT_HALF, SQRT_HALF], dtype=complex)
-HADAMARD = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
-
 
 def _check_angle(theta: float) -> float:
     theta = float(theta)
@@ -47,15 +44,6 @@ def rz(theta: float) -> np.ndarray:
     theta = _check_angle(theta)
     phase = cmath.exp(-0.5j * theta)
     return np.array([[phase, 0.0], [0.0, phase.conjugate()]], dtype=complex)
-
-
-def apply(gate: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 gate to a single-qubit state vector."""
-    gate = np.asarray(gate, dtype=complex)
-    state = np.asarray(state, dtype=complex)
-    if gate.shape != (2, 2) or state.shape != (2,):
-        raise ValueError("apply expects a (2, 2) gate and a (2,) state")
-    return gate @ state
 
 
 def _check_layers(gammas, betas, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -6,11 +6,13 @@ more than MAX_QUBITS = 20 qubits, and models whose energies overflow a
 float, before allocating.  It is a generic dense simulation (phase layer,
 then rx on every qubit) that does not use the product structure, so it
 stays independent of the formula.  It works through the state in blocks
-of BLOCK = 2^15 amplitudes and makes each block's objective values as it
-goes.  The mixing layer goes five qubits per matmul: the 32 x 32 operator
-rx(2*beta)^(x 5) on groups of the 15 qubits inside a block, and once on
-the at most five higher qubits in block-sized column slabs.  So peak
-memory is the state plus O(BLOCK).  Basis convention:
+of BLOCK = 2^15 amplitudes.  The phase layer comes from two tables per
+layer: exp(-i*gamma*L) over the objective values L of the 15 qubits
+inside a block, and exp(-i*gamma*H) over those of the at most five
+higher qubits, one entry per block.  The mixing layer goes five qubits
+per matmul: the 32 x 32 operator rx(2*beta)^(x 5) on groups of the 15
+qubits inside a block, and once on the higher qubits in block-sized
+column slabs.  So peak memory is the state plus O(BLOCK).  Basis convention:
 qubit 1 is the least significant bit of the basis index, so the state for
 bits (b_1..b_n) sits at index sum_l b_l << (l - 1).
 """
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import ResourceLimitError
-from .gates import _check_phase
+from .gates import _check_phase, rx
 from .ising import LinearIsing
 from .probability import QaoaParams
 
@@ -75,13 +77,10 @@ def _objective_blocks(model: LinearIsing):
 def _mixers(beta: float) -> list[np.ndarray]:
     """rx(2*beta)^(x k) for k = 0.._GROUP: entry k mixes k qubits in one matmul.
 
-    Each is a Kronecker power of the 2x2 gate [[c, -is], [-is, c]], which
-    is gates.rx(2*beta); its k factors are alike, so entry k acts on any k
-    qubits that index its rows, in either order.
+    Each is a Kronecker power of gates.rx(2*beta); its k factors are alike,
+    so entry k acts on any k qubits that index its rows, in either order.
     """
-    c = math.cos(beta)
-    s = math.sin(beta)
-    gate = np.array([[c, -1j * s], [-1j * s, c]])
+    gate = rx(2 * beta)
     mixers = [np.ones((1, 1), dtype=complex)]
     for _ in range(_GROUP):
         mixers.append(np.kron(mixers[-1], gate))
@@ -93,14 +92,20 @@ def run_ansatz(model: LinearIsing, params: QaoaParams) -> np.ndarray:
 
     Refuses models above MAX_QUBITS qubits, and models whose energies or
     phases overflow a float, before allocating anything.  Works through
-    the state in blocks of BLOCK amplitudes, making each block's
-    objective values on the fly.  Mixing goes five qubits per matmul:
+    the state in blocks of BLOCK amplitudes.  Within a block the high
+    qubits' part of the energy is one constant, so the phase layer
+    exp(-i*gamma*(L+H)) is split in two: once per layer it tables
+    exp(-i*gamma*L) over the low qubits' values (one per index in a
+    block) and exp(-i*gamma*H) over the high qubits' values (one per
+    block), and each block is multiplied by the first table and then by
+    its own entry of the second.  Mixing goes five qubits per matmul:
     inside a block, the low qubits in groups of up to five, each group
     one np.matmul of rx(2*beta)^(x k) with the block's (-1, 2^k, 2^l)
     view; then the high qubits as one group, on column slabs of the
     (2^h, BLOCK) view that hold BLOCK amplitudes each.  So peak memory
-    is the state plus O(BLOCK).  BLAS sums each group's products in its
-    own order, so amplitudes can differ from a qubit-by-qubit loop in
+    is the state plus O(BLOCK).  The split phase and BLAS's own order of
+    each group's sums both round differently from one exp per amplitude
+    and a qubit-by-qubit loop, so amplitudes can differ from those in
     their last bits.
     """
     n = model.n
@@ -111,13 +116,18 @@ def run_ansatz(model: LinearIsing, params: QaoaParams) -> np.ndarray:
     _check_phase(params.gammas, _energy_bound(model))
     low = min(n, _IN_BLOCK)  # qubits that pair amplitudes inside one block
     high = n - low  # at most _GROUP, so they form one group
+    low_values = _objective_values(model.coeffs[:low])  # one per index inside a block
+    high_values = _objective_values(model.coeffs[low:])  # one per block
     state = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
     for gamma, beta in zip(params.gammas, params.betas):
         mixers = _mixers(beta)
-        for start, values in _objective_blocks(model):
-            block = state[start:start + BLOCK]
-            # phase layer: exp(-i * gamma * H) is diagonal in the basis
-            block *= np.exp(-1j * gamma * values)
+        # phase layer exp(-i*gamma*(L+H)): L by index inside a block, H one value per block
+        low_phase = np.exp(-1j * gamma * low_values)
+        high_phase = np.exp(-1j * gamma * high_values)
+        for h, phase in enumerate(high_phase):
+            block = state[h * BLOCK:(h + 1) * BLOCK]
+            block *= low_phase
+            block *= phase
             # mixing layer on the low qubits, a group of up to _GROUP at a time
             for l in range(0, low, _GROUP):
                 k = min(_GROUP, low - l)

@@ -9,18 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qaoa_linear.gates import (
-    HADAMARD,
-    KET_PLUS,
     SQRT_HALF,
     amplitude_to_bit,
-    apply,
     bit_amplitudes,
     rx,
     rz,
 )
-
-KET_ZERO = np.array([1.0, 0.0], dtype=complex)
-KET_ONE = np.array([0.0, 1.0], dtype=complex)
 
 angles = st.floats(-20.0, 20.0, allow_nan=False)
 
@@ -64,29 +58,6 @@ class TestMatrices:
             rx(bad)
         with pytest.raises(ValueError):
             rz(bad)
-
-
-class TestApply:
-    def test_hadamard_on_zero_gives_plus(self):
-        assert np.allclose(apply(HADAMARD, KET_ZERO), KET_PLUS, atol=1e-15)
-
-    def test_hadamard_on_one(self):
-        expected = np.array([SQRT_HALF, -SQRT_HALF])
-        assert np.allclose(apply(HADAMARD, KET_ONE), expected, atol=1e-15)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            apply(np.eye(3), KET_ZERO)
-        with pytest.raises(ValueError):
-            apply(np.eye(2), np.ones(3))
-
-    def test_matches_plain_matrix_product(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            theta = rng.uniform(-6, 6)
-            gate = rx(theta) if rng.random() < 0.5 else rz(theta)
-            state = rng.normal(size=2) + 1j * rng.normal(size=2)
-            assert np.allclose(apply(gate, state), gate @ state, atol=1e-15)
 
 
 def _layered_oracle(a, gammas, betas):

@@ -159,6 +159,28 @@ class TestBlocks:
         dense = outcome_probability(state, optimal_bits(model))
         assert abs(dense - prob_opt(model, params)) <= 1e-10
 
+    @pytest.mark.parametrize("n, p", [(16, 3), (20, 3)])
+    def test_states_from_phase_tables(self, n, p):
+        # one high qubit, then five: each block's phase is a low-qubit table
+        # entry times one high-qubit phase, exp(-i*gamma*(L+H)) split in two
+        model, params = _signed_instance(np.random.default_rng(100 + n), n, p)
+        state = run_ansatz(model, params)
+        assert np.max(np.abs(state - _unblocked_run_ansatz(model, params))) <= 1e-15
+        dense = outcome_probability(state, optimal_bits(model))
+        assert abs(dense - prob_opt(model, params)) <= 1e-10
+
+    def test_peak_memory_at_the_qubit_cap(self):
+        n = 20
+        model, params = _signed_instance(np.random.default_rng(37), n, 3)
+        bound = (1 << n) * 16 + 4 * BLOCK * 16  # complex state + a few complex blocks
+        tracemalloc.start()
+        try:
+            run_ansatz(model, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     def test_peak_memory_is_state_plus_blocks(self):
         n = 18
         model, params = _signed_instance(np.random.default_rng(29), n, 3)
