@@ -1,6 +1,7 @@
 """Reproducible experiment drivers: probability tables, sampling, scans.
 
-Every cell of every experiment derives its own RNG seed from the master
+Tables and scans share one cell loop over (m, p); a scan at p is column
+p of the table.  Every cell derives its own RNG seed from the master
 seed and the cell coordinates, so tables are bitwise reproducible and
 insensitive to evaluation order.  specs=None means default_portfolio();
 an empty portfolio is refused by portfolio_maximize at the first cell.
@@ -83,17 +84,10 @@ def _best_at_cell(m: int, p: int, specs) -> float:
     return portfolio_maximize(consecutive(m), p, cell_specs).best_value
 
 
-def build_tables(m_max: int, p_max: int, specs=None) -> ProbTable:
-    """Optimize every (m, p) cell for the models (1..m), m <= m_max.
-
-    Each cell runs the full portfolio with per-cell seeds derived from
-    each spec's own seed via cell_seed.
-    """
-    m_max = positive_int(m_max, "m_max")
-    p_max = positive_int(p_max, "p_max")
+def _table(m_values, p_values, specs) -> ProbTable:
+    """The one cell loop: the portfolio's best on every (m, p) cell, in row order."""
     specs = default_portfolio() if specs is None else tuple(specs)
-    m_values = tuple(range(1, m_max + 1))
-    p_values = tuple(range(1, p_max + 1))
+    m_values, p_values = tuple(m_values), tuple(p_values)
     flat = [_best_at_cell(m, p, specs) for m in m_values for p in p_values]
     prob = np.array(flat, dtype=float).reshape(len(m_values), len(p_values))
     base = np.empty_like(prob)
@@ -102,6 +96,17 @@ def build_tables(m_max: int, p_max: int, specs=None) -> ProbTable:
         # the power only where row > 0: an underflowed cell's base is inf, with no warning
         base[i] = np.power(row, -1.0 / m, out=np.full_like(row, np.inf), where=row > 0.0)
     return ProbTable(m_values=m_values, p_values=p_values, prob=prob, base=base)
+
+
+def build_tables(m_max: int, p_max: int, specs=None) -> ProbTable:
+    """Optimize every (m, p) cell for the models (1..m), m <= m_max.
+
+    Each cell runs the full portfolio with per-cell seeds derived from
+    each spec's own seed via cell_seed.
+    """
+    m_max = positive_int(m_max, "m_max")
+    p_max = positive_int(p_max, "p_max")
+    return _table(range(1, m_max + 1), range(1, p_max + 1), specs)
 
 
 @dataclass(frozen=True)
@@ -191,17 +196,16 @@ class ScanEntry:
 def conjecture_scan(p: int, m_max: int, specs=None):
     """Optimize (1..m) for m = 1..m_max at fixed p; flag perfect cells.
 
-    An entry is an anomaly by is_anomaly(m, p, best): it reaches
-    1 - ANOMALY_TOL although m > p.  This scan goes looking for such counterexamples.
+    The scan is column p of the table's one cell loop: entry m is bit for
+    bit build_tables(m_max, p, specs).prob_at(m, p).  It goes looking for
+    counterexamples, anomalies by is_anomaly(m, p, best): cells that reach
+    1 - ANOMALY_TOL although m > p.
     """
     p = positive_int(p, "layer count")
     m_max = positive_int(m_max, "m_max")
-    specs = default_portfolio() if specs is None else tuple(specs)
-    entries = []
-    for m in range(1, m_max + 1):
-        best = _best_at_cell(m, p, specs)
-        entries.append(
-            ScanEntry(m=m, best_prob=best, below_one=best < 1.0 - ANOMALY_TOL,
-                      anomaly=is_anomaly(m, p, best))
-        )
-    return tuple(entries)
+    table = _table(range(1, m_max + 1), (p,), specs)
+    return tuple(
+        ScanEntry(m=m, best_prob=best, below_one=best < 1.0 - ANOMALY_TOL,
+                  anomaly=is_anomaly(m, p, best))
+        for m, best in zip(table.m_values, table.prob[:, 0].tolist())
+    )

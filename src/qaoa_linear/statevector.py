@@ -57,21 +57,14 @@ def _objective_values(coeffs) -> np.ndarray:
     return values
 
 
-def _objective_blocks(model: LinearIsing):
-    """Yield (start, values): the objective values of each block of BLOCK basis states.
+def _energy_split(coeffs) -> tuple[int, np.ndarray, np.ndarray]:
+    """(low, L, H): the objective value at index h * BLOCK + j is L[j] + H[h].
 
-    One table covers the qubits inside a block; each higher qubit l then
-    adds +a_l or -a_l by bit l of start, in qubit order.  These are the
-    doubling's own additions in its own order, so every value is bit for
-    bit that of _objective_values(model.coeffs).
+    L holds the values of the low = min(n, 15) qubits inside a block, one
+    per index in it; H those of the at most five higher qubits, one per block.
     """
-    coeffs = model.coeffs
-    low = _objective_values(coeffs[:_IN_BLOCK])
-    for start in range(0, 1 << model.n, BLOCK):
-        values = low
-        for l in range(_IN_BLOCK, model.n):
-            values = values - coeffs[l] if start >> l & 1 else values + coeffs[l]
-        yield start, values
+    low = min(len(coeffs), _IN_BLOCK)
+    return low, _objective_values(coeffs[:low]), _objective_values(coeffs[low:])
 
 
 def _mixers(beta: float) -> list[np.ndarray]:
@@ -91,14 +84,13 @@ def run_ansatz(model: LinearIsing, params: QaoaParams) -> np.ndarray:
     """Amplitude vector of the p-layer ansatz state for the given model.
 
     Refuses models above MAX_QUBITS qubits, and models whose energies or
-    phases overflow a float, before allocating anything.  Works through
-    the state in blocks of BLOCK amplitudes.  Within a block the high
-    qubits' part of the energy is one constant, so the phase layer
-    exp(-i*gamma*(L+H)) is split in two: once per layer it tables
-    exp(-i*gamma*L) over the low qubits' values (one per index in a
-    block) and exp(-i*gamma*H) over the high qubits' values (one per
-    block), and each block is multiplied by the first table and then by
-    its own entry of the second.  Mixing goes five qubits per matmul:
+    phases, or schedules whose 2*beta, overflow a float, before
+    allocating anything.  Works through the state in blocks of BLOCK
+    amplitudes.  Within a block the high qubits' part of the energy is
+    one constant, so the phase layer exp(-i*gamma*(L+H)) is split in two
+    by _energy_split: once per layer it tables exp(-i*gamma*L) and
+    exp(-i*gamma*H), and each block is multiplied by the first table and
+    then by its own entry of the second.  Mixing goes five qubits per matmul:
     inside a block, the low qubits in groups of up to five, each group
     one np.matmul of rx(2*beta)^(x k) with the block's (-1, 2^k, 2^l)
     view; then the high qubits as one group, on column slabs of the
@@ -114,10 +106,11 @@ def run_ansatz(model: LinearIsing, params: QaoaParams) -> np.ndarray:
             f"statevector for {n} qubits exceeds the cap of {MAX_QUBITS}"
         )
     _check_phase(params.gammas, _energy_bound(model))
-    low = min(n, _IN_BLOCK)  # qubits that pair amplitudes inside one block
+    beta = max(map(abs, params.betas))
+    if not math.isfinite(2 * beta):
+        raise ValueError(f"mixing angle 2*beta overflows a float: |beta| = {beta!r}")
+    low, low_values, high_values = _energy_split(model.coeffs)
     high = n - low  # at most _GROUP, so they form one group
-    low_values = _objective_values(model.coeffs[:low])  # one per index inside a block
-    high_values = _objective_values(model.coeffs[low:])  # one per block
     state = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
     for gamma, beta in zip(params.gammas, params.betas):
         mixers = _mixers(beta)
@@ -170,8 +163,10 @@ def expectation(model: LinearIsing, state: np.ndarray) -> float:
             f"state has {state.size} amplitudes; model needs {1 << model.n}"
         )
     _energy_bound(model)
+    _, low_values, high_values = _energy_split(model.coeffs)
     total = 0.0
-    for start, values in _objective_blocks(model):
-        block = state[start:start + BLOCK]
-        total += np.dot(values, block.real**2 + block.imag**2)
+    for h, high_value in enumerate(high_values):
+        block = state[h * BLOCK:(h + 1) * BLOCK]
+        probs = block.real**2 + block.imag**2
+        total += np.dot(low_values, probs) + high_value * probs.sum()
     return float(total)

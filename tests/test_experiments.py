@@ -224,14 +224,29 @@ class TestConjectureScan:
         assert out.count("anomaly=true") == 2
         assert "# anomalies=2" in out
 
-    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 3])
     def test_uses_same_seeds_as_tables(self, p):
         specs = default_portfolio(seed=3, budget=200, restarts=1)
-        table = build_tables(3, 2, specs)
+        table = build_tables(3, 3, specs)
         entries = conjecture_scan(p, 3, specs)
         assert [e.best_prob.hex() for e in entries] == [
             table.prob_at(m, p).hex() for m in (1, 2, 3)
         ]
+
+    def test_one_cell_loop_visits(self, monkeypatch):
+        # the table visits its cells in row order; the scan visits column p once each
+        visits = []
+
+        def record(m, p, specs):
+            visits.append((m, p))
+            return 0.5
+
+        monkeypatch.setattr(experiments, "_best_at_cell", record)
+        build_tables(3, 2, LEAN_SPECS)
+        assert visits == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+        visits.clear()
+        conjecture_scan(2, 3, LEAN_SPECS)
+        assert visits == [(1, 2), (2, 2), (3, 2)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

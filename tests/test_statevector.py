@@ -15,7 +15,6 @@ from qaoa_linear.statevector import (
     BLOCK,
     _GROUP,
     _mixers,
-    _objective_blocks,
     _objective_values,
     expectation,
     outcome_probability,
@@ -65,6 +64,14 @@ class TestRunAnsatz:
     def test_qubit_cap_refused_before_allocation(self):
         with pytest.raises(ResourceLimitError):
             run_ansatz(LinearIsing((1.0,) * 21), QaoaParams.zero(1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mixing_angle_refused(self):
+        # beta is finite and prob_opt takes it, but 2*beta overflows: the message names beta
+        model, params = LinearIsing((1.0, 2.0)), QaoaParams((0.1,), (1e308,))
+        assert 0.0 < prob_opt(model, params) < 1.0
+        with pytest.raises(ValueError, match=r"2\*beta overflows a float: \|beta\| = 1e\+308"):
+            run_ansatz(model, params)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_energy_refused(self):
@@ -130,14 +137,6 @@ class TestBlocks:
         for n in (1, 2, 5, 9, 14, 15, 16, 18):
             model, _ = _signed_instance(rng, n, 1)
             assert np.array_equal(_objective_values(model.coeffs), _per_qubit_values(model))
-
-    @pytest.mark.parametrize("n", [15, 16, 17, 18])
-    def test_objective_blocks_concatenate_to_per_qubit_formula(self, n):
-        model, _ = _signed_instance(np.random.default_rng(31 + n), n, 1)
-        blocks = list(_objective_blocks(model))
-        assert [start for start, _ in blocks] == list(range(0, 1 << n, BLOCK))
-        values = np.concatenate([values for _, values in blocks])
-        assert np.array_equal(values, _per_qubit_values(model))
 
     @pytest.mark.parametrize("n, p", [(16, 2), (16, 3), (17, 2), (17, 3)])
     def test_states_across_blocks(self, n, p):
@@ -252,6 +251,17 @@ class TestExpectation:
                 v0, v1 = bit_amplitudes(a, params.gammas, params.betas)
                 total += a * (abs(v0) ** 2 - abs(v1) ** 2)
             assert abs(expectation(model, state) - total) <= 1e-10
+
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_factorizes_per_qubit_across_blocks(self, n):
+        # two, four and eight blocks: each adds its high qubits' energy to the low table
+        model, params = _signed_instance(np.random.default_rng(200 + n), n, 2)
+        state = run_ansatz(model, params)
+        total = 0.0
+        for a in model.coeffs:
+            v0, v1 = bit_amplitudes(a, params.gammas, params.betas)
+            total += a * (abs(v0) ** 2 - abs(v1) ** 2)
+        assert abs(expectation(model, state) - total) <= 1e-10
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
