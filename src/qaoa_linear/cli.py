@@ -11,7 +11,10 @@ only under its full name; argparse's prefix matching is off.
 
 Once the options resolve, main prints their provenance lines, in table
 order, before the command runs, so a captured output identifies the run
-that produced it, even one that then fails.  Results are flat key=value
+that produced it, even one that then fails.  Every command runs inside
+optimizers.worker_pool, so the optimizer runs of optimize, table, sample
+and scan split their restarts over every CPU this process may use; the
+output does not depend on how many.  Results are flat key=value
 records; tables are CSV; --out writes to a file in place of stdout,
 through a temporary file beside it that is created before the work
 starts and renamed over it only when the command succeeds.  Exit
@@ -55,6 +58,7 @@ from .optimizers import (
     default_portfolio,
     philox,
     portfolio_maximize,
+    worker_pool,
 )
 from .probability import (
     QaoaParams,
@@ -477,7 +481,8 @@ def main(argv=None) -> int:
     try:
         try:
             print(*_resolve(ns), sep="\n")
-            return ns.func(ns)
+            with worker_pool():  # starts processes only if an optimizer run splits
+                return ns.func(ns)
         finally:
             sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
     except BrokenPipeError:

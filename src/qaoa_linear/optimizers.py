@@ -23,12 +23,39 @@ pending point of every restart, and stops them after `budget` steps.
 Each restart keeps its own stream and running best, so the results are
 bit for bit those of running the restarts one after another, which is
 what _run_each does for differential evolution and random search.
+
+maximize runs its restarts through one helper, _restarts(model, hi,
+spec, first, stop), which returns the best values and points of
+restarts [first, stop).  By default it is called once, over all of them.
+Inside `with worker_pool():` maximize splits the restarts into n
+contiguous slices, n the CPUs this process may use (usable_cpus(),
+which an affinity mask such as taskset's limits): worker processes
+compute slices 1..n-1 while the calling process computes slice 0, and
+the slices are concatenated in restart order.  The bits cannot depend on the split.  A restart's stream
+is keyed by (seed, method, restart), not by its slice; the kernel scores
+every row on its own, so a lockstep step over fewer restarts gives each
+of them the same values; and np.argmax over the concatenation keeps the
+earliest restart of equal values, as over one call.  Validation stays
+in the caller, before anything is submitted, and maximize stays one call
+there, with its method and evaluation count.
+
+The pool's processes come from the forkserver start method, chosen
+explicitly: they fork from a server process that runs none of our work,
+never from the caller, whose OpenBLAS threads may be busy at the moment
+of a fork, and a fork after OpenBLAS has started its threads can hang
+the child.  Python 3.12 warns on a fork of a multi-threaded process, and
+3.14 no longer forks by default.  The forkserver and multiprocessing's
+resource tracker outlive the pool that started them, until the
+interpreter exits.  The library is serial unless a caller opens a pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import signal
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -36,7 +63,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ResourceLimitError, positive_int
+from .errors import QaoaLinearError, ResourceLimitError, positive_int
 from .gates import _check_phase
 from .ising import LinearIsing
 # bench/tracing.py wraps prob_opt and prob_opt_batch here, so both stay imported.
@@ -318,8 +345,9 @@ def _run_lockstep(method, fbatch, rngs, hi, budget):
 
 def _run_each(method, fbatch, rngs, hi, budget):
     """Run a batch-at-a-time method's restarts one after another; returns
-    their best values and points in restart order."""
-    return zip(*(method(fbatch, rng, hi, budget) for rng in rngs))
+    their best values and points, as two arrays in restart order."""
+    values, points = zip(*(method(fbatch, rng, hi, budget) for rng in rngs))
+    return np.array(values), np.array(points)
 
 
 # runner(objective, rngs, hi, budget) -> (values, points) over all restarts, in METHODS order
@@ -329,6 +357,101 @@ _RUNNERS = (
     partial(_run_lockstep, _simulated_annealing),
     partial(_run_each, _random_search),
 )
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Pool:
+    """An open worker_pool: its slice count, and its executor once started."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.executor = None
+
+    def submit(self, *args):
+        if self.executor is None:
+            # imported here: a serial caller never loads the pool machinery
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.executor = ProcessPoolExecutor(
+                self.workers - 1,
+                mp_context=multiprocessing.get_context("forkserver"),
+                initializer=_ignore_sigint,
+            )
+        return self.executor.submit(_restarts, *args)
+
+    @staticmethod
+    def result(future):
+        """A submitted slice; a pool whose worker died is refused, naming why."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            return future.result()
+        except BrokenProcessPool as exc:
+            raise QaoaLinearError(
+                "a worker process died before returning its restarts; every worker "
+                "imports the main module, so a script that runs the optimizer needs "
+                'the `if __name__ == "__main__":` guard'
+            ) from exc
+
+
+_pool: _Pool | None = None  # the innermost open worker_pool
+
+
+def _ignore_sigint():
+    # Ctrl-C reaches the whole process group; the caller alone handles it
+    # and shuts the pool down.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@contextlib.contextmanager
+def worker_pool():
+    """Split every maximize call in the block over usable_cpus() processes.
+
+    The calling process is one of them, so usable_cpus() - 1 processes are
+    started, by the forkserver method, at the first maximize call that
+    splits (one with at least two restarts, on a host with two or more
+    usable CPUs); a block that splits nothing starts none.  Results are
+    bit for bit those of the serial path.  On leaving the block, however
+    it is left, the pool's workers are shut down and reaped; the
+    forkserver and multiprocessing's resource tracker, started with the
+    first pool, live until the interpreter exits.  The forkserver imports
+    the main module, so a script that opens a pool needs the
+    `if __name__ == "__main__":` guard; without it the pool breaks, and
+    maximize raises QaoaLinearError.
+    """
+    global _pool
+    pool = _Pool(usable_cpus())
+    outer, _pool = _pool, pool
+    try:
+        yield
+    finally:
+        _pool = outer
+        if pool.executor is not None:
+            pool.executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _restarts(model: LinearIsing, hi: np.ndarray, spec: OptimizerSpec, first: int, stop: int):
+    """Restarts [first, stop) of spec over the box [0, hi): their best values
+    and points, as two arrays in restart order."""
+    p = hi.size // 2
+    kernel = qubit_kernel(model)
+
+    def objective(xs: np.ndarray) -> np.ndarray:
+        return np.multiply.reduce(kernel(xs[:, :p], xs[:, p:]), axis=0)
+
+    method_id = METHODS.index(spec.method)
+    rngs = [_make_rng(spec.seed, method_id, restart) for restart in range(first, stop)]
+    # Nelder-Mead can reflect past the box, where gamma*a overflows: such a
+    # point scores NaN, which never beats a running best, so nothing changes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _RUNNERS[method_id](objective, rngs, hi, spec.budget)
 
 
 def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationResult:
@@ -343,24 +466,22 @@ def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationRes
     angles, which is prob_opt's there, bit for bit.  Nelder-Mead starts
     inside the box but is not confined to it (reflection can step out),
     so reported angles may lie outside the box, and without a known gamma
-    period they need not equal an in-box point.
+    period they need not equal an in-box point.  Inside worker_pool the
+    restarts are split over its processes, with the same result.
     """
     p = positive_int(p, "layer count")
     period = gamma_period(model)
     gamma_box = period if period is not None else 2.0 * math.pi
     _check_phase(gamma_box, model.coeffs)
     hi = np.array([gamma_box] * p + [math.pi] * p)
-    kernel = qubit_kernel(model)
-
-    def objective(xs: np.ndarray) -> np.ndarray:
-        return np.multiply.reduce(kernel(xs[:, :p], xs[:, p:]), axis=0)
-
-    method_id = METHODS.index(spec.method)
-    rngs = [_make_rng(spec.seed, method_id, restart) for restart in range(spec.restarts)]
-    # Nelder-Mead can reflect past the box, where gamma*a overflows: such a
-    # point scores NaN, which never beats a running best, so nothing changes.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values, points = _RUNNERS[method_id](objective, rngs, hi, spec.budget)
+    # n contiguous slices of the restarts: the pool's workers run slices
+    # 1..n-1 while this process runs slice 0; serial when n is 1
+    pool = _pool
+    n = 1 if pool is None else min(pool.workers, spec.restarts)
+    bounds = [spec.restarts * k // n for k in range(n + 1)]
+    futures = [pool.submit(model, hi, spec, *cut) for cut in zip(bounds[1:-1], bounds[2:])]
+    slices = [_restarts(model, hi, spec, 0, bounds[1])] + [pool.result(f) for f in futures]
+    values, points = (np.concatenate(parts) for parts in zip(*slices))
     i = int(np.argmax(values))
     best = points[i].tolist()
     return OptimizationResult(

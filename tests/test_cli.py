@@ -1,6 +1,7 @@
 """Command-line behavior: flags, config, provenance, exit codes."""
 
 import math
+import multiprocessing
 import os
 import re
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qaoa_linear import cli
+from qaoa_linear import cli, optimizers
 from qaoa_linear.circuit import interpret_circuit
 from qaoa_linear.experiments import build_tables
 from qaoa_linear.optimizers import OptimizerSpec
@@ -547,6 +548,70 @@ class TestUsageRules:
         lines = out.splitlines()
         assert lines[0] == first
         assert all(line.startswith("# ") and line.endswith(")") for line in lines)
+
+
+class TestWorkers:
+    """Optimizer runs split their restarts over the usable CPUs; the output
+    is the same at one CPU and at two."""
+
+    @staticmethod
+    def output(capsys, monkeypatch, cpus, *argv):
+        monkeypatch.setattr(optimizers, "usable_cpus", lambda: cpus)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        return out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--M", "3", "--P", "2", "--budget", "200", "--seed", seed]
+            for seed in ("1", "2", "3", "824")
+        ]
+        + [
+            ["scan", "--p", "2", "--m-max", "3", "--budget", "200", "--seed", "1"],
+            ["optimize", "--model", "1,2,3", "--p", "2", "--budget", "300", "--seed", "2"],
+        ],
+        ids=["table-1", "table-2", "table-3", "table-824", "scan", "optimize"],
+    )
+    def test_output_does_not_depend_on_usable_cpus(self, capsys, monkeypatch, argv):
+        serial = self.output(capsys, monkeypatch, 1, *argv)
+        split = self.output(capsys, monkeypatch, 2, *argv)
+        assert split == serial
+        assert multiprocessing.active_children() == []
+
+    def test_broken_pool_refused(self, capsys, monkeypatch):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        def broken(self, *args):
+            future = Future()
+            future.set_exception(BrokenProcessPool("a child process terminated abruptly"))
+            return future
+
+        monkeypatch.setattr(optimizers, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(optimizers._Pool, "submit", broken)
+        code, _, err = run(capsys, "optimize", "--model", "1,2", "--p", "1", "--budget", "100")
+        assert code == EXIT_CHECK
+        assert err.startswith("refused: a worker process died")
+        assert '`if __name__ == "__main__":` guard' in err
+
+    def test_unguarded_script_refused(self, tmp_path):
+        # every worker imports the main module, which here runs main again
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import sys\n"
+            "from qaoa_linear import cli, optimizers\n"
+            "optimizers.usable_cpus = lambda: 2\n"
+            "sys.exit(cli.main(['optimize', '--model', '1,2', '--p', '1', '--budget', '100']))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == EXIT_CHECK
+        assert proc.stderr.splitlines()[-1].startswith("refused: a worker process died")
 
 
 class TestTopLevel:

@@ -1,12 +1,13 @@
 """Table builder, sampling harness, and scan driver."""
 
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qaoa_linear import cli, experiments
+from qaoa_linear import cli, experiments, optimizers
 from qaoa_linear.errors import DegenerateProbabilityError, ResourceLimitError
 from qaoa_linear.experiments import (
     MAX_SAMPLING_DRAWS,
@@ -17,7 +18,13 @@ from qaoa_linear.experiments import (
     sample_until_optimum,
 )
 from qaoa_linear.ising import LinearIsing, consecutive, replicate
-from qaoa_linear.optimizers import METHODS, OptimizerSpec, default_portfolio, philox
+from qaoa_linear.optimizers import (
+    METHODS,
+    OptimizerSpec,
+    default_portfolio,
+    philox,
+    worker_pool,
+)
 from qaoa_linear.probability import QaoaParams
 
 
@@ -74,6 +81,27 @@ class TestBuildTables:
         assert table.base_at(2, 1) == math.inf
         assert table.base_at(2, 2) == 0.5 ** (-1.0 / 2)
         assert "2,1,0.000000,inf\n" in table.to_csv()
+
+    def test_error_at_a_cell_reaps_the_pool(self, monkeypatch):
+        # the first two cells split their restarts over the pool; the third raises
+        monkeypatch.setattr(optimizers, "usable_cpus", lambda: 2)
+        best_at_cell = experiments._best_at_cell
+        error = RuntimeError("third cell")
+        started = []
+
+        def failing(m, p, specs):
+            if (m, p) == (2, 1):
+                started.extend(multiprocessing.active_children())
+                raise error
+            return best_at_cell(m, p, specs)
+
+        monkeypatch.setattr(experiments, "_best_at_cell", failing)
+        with pytest.raises(RuntimeError) as raised:
+            with worker_pool():
+                build_tables(3, 2, LEAN_SPECS)
+        assert raised.value is error
+        assert started and not any(process.is_alive() for process in started)
+        assert multiprocessing.active_children() == []
 
     def test_csv_format(self):
         table = build_tables(1, 1, LEAN_SPECS)

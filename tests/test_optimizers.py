@@ -4,7 +4,9 @@ Most tests run at reduced budgets; the full-budget numbers live in the
 acceptance suite.
 """
 
+import contextlib
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from qaoa_linear.optimizers import (
     gamma_period,
     maximize,
     portfolio_maximize,
+    worker_pool,
 )
 from qaoa_linear.probability import QaoaParams, exact_p1_m2_max, prob_opt, qubit_kernel
 
@@ -281,30 +284,72 @@ GOLDEN = {
 }
 
 
-class TestGoldenTrajectories:
-    @pytest.mark.parametrize("cell", list(GOLDEN), ids=["m2p1", "m5p3", "mixed-p2"])
-    def test_every_method_repeats_recorded_result(self, cell):
-        model, p, base_spec = cell
-        for method, value_hex, gammas, betas, used in GOLDEN[cell]:
-            spec = OptimizerSpec(method, base_spec.budget, base_spec.seed, base_spec.restarts)
-            result = maximize(model, p, spec)
-            assert (result.best_value.hex(), result.best_gammas, result.best_betas) == (
-                value_hex,
-                gammas,
-                betas,
-            ), method
-            assert result.evaluations_used == used, method
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """worker_pool() is allowed whatever the host's CPU count."""
+    monkeypatch.setattr(optimizers, "usable_cpus", lambda: 2)
 
-    def test_restart_ties_keep_the_earliest(self):
-        # several restarts reach the same best bits; the first one wins
+
+class TestGoldenTrajectories:
+    """Each recorded result, serial and with the restarts split over two
+    processes (unequal slices where restarts is odd)."""
+
+    @pytest.mark.parametrize("cell", list(GOLDEN), ids=["m2p1", "m5p3", "mixed-p2"])
+    def test_every_method_repeats_recorded_result(self, cell, two_cpus):
+        model, p, base_spec = cell
+        for pool in (contextlib.nullcontext(), worker_pool()):
+            with pool:
+                for method, value_hex, gammas, betas, used in GOLDEN[cell]:
+                    spec = OptimizerSpec(method, base_spec.budget, base_spec.seed, base_spec.restarts)
+                    result = maximize(model, p, spec)
+                    assert (result.best_value.hex(), result.best_gammas, result.best_betas) == (
+                        value_hex,
+                        gammas,
+                        betas,
+                    ), (method, pool)
+                    assert result.evaluations_used == used, method
+
+    def test_restart_ties_keep_the_earliest(self, two_cpus):
+        # several restarts reach the same best bits; the first one wins.
+        # Split in two, restarts 1 and 3 of the first slice and all four of
+        # the second tie: the first slice's restart 1 still wins.
         spec = OptimizerSpec("nelder-mead", budget=2000, seed=1, restarts=8)
-        result = maximize(LinearIsing((1.0,)), 1, spec)
-        assert result.best_value.hex() == "0x1.0000000000001p+0"
-        assert (result.best_gammas, result.best_betas) == (
-            (2.3561944909280665,),
-            (2.3561944874909324,),
-        )
-        assert result.evaluations_used == 16000
+        for pool in (contextlib.nullcontext(), worker_pool()):
+            with pool:
+                result = maximize(LinearIsing((1.0,)), 1, spec)
+            assert result.best_value.hex() == "0x1.0000000000001p+0"
+            assert (result.best_gammas, result.best_betas) == (
+                (2.3561944909280665,),
+                (2.3561944874909324,),
+            )
+            assert result.evaluations_used == 16000
+
+
+class TestWorkerPool:
+    """A pool starts processes only for a call that splits."""
+
+    def test_one_restart_starts_no_process(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
+        spec = OptimizerSpec("random-search", budget=100, seed=3, restarts=1)
+        with worker_pool():
+            maximize(LinearIsing((1.0, 2.0)), 1, spec)
+
+    def test_one_usable_cpu_starts_no_process(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
+        spec = OptimizerSpec("random-search", budget=100, seed=3, restarts=4)
+        with worker_pool():
+            maximize(LinearIsing((1.0, 2.0)), 1, spec)
+
+    def test_serial_outside_any_pool(self, monkeypatch):
+        monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
+        specs = default_portfolio(seed=4, budget=200, restarts=4)
+        portfolio_maximize(LinearIsing((1.0, 2.0)), 1, specs)
+        assert multiprocessing.active_children() == []
+
+
+def _no_split(*args):
+    raise AssertionError("maximize split its restarts")
 
 
 class TestDifferentialEvolutionDraws:
