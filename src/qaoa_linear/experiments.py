@@ -3,8 +3,11 @@
 Tables and scans share one cell loop over (m, p); a scan at p is column
 p of the table.  Every cell derives its own RNG seed from the master
 seed and the cell coordinates, so tables are bitwise reproducible and
-insensitive to evaluation order.  specs=None means default_portfolio();
-an empty portfolio is refused by portfolio_maximize at the first cell.
+insensitive to evaluation order.  The loop maps over the cells with
+optimizers.pool_map: inside worker_pool, whole cells run in the calling
+process and in worker processes, in any order, and come back in row
+order.  specs=None means default_portfolio(); an empty portfolio is
+refused by portfolio_maximize at the first cell the caller runs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateProbabilityError, ResourceLimitError, positive_int
 from .ising import LinearIsing, consecutive
-from .optimizers import default_portfolio, philox, portfolio_maximize
+from .optimizers import default_portfolio, philox, pool_map, portfolio_maximize
 from .probability import QaoaParams, prob_opt
 
 # Sampling refuses below this.  A run of 1e9 preparations is no experiment
@@ -85,10 +88,14 @@ def _best_at_cell(m: int, p: int, specs) -> float:
 
 
 def _table(m_values, p_values, specs) -> ProbTable:
-    """The one cell loop: the portfolio's best on every (m, p) cell, in row order."""
+    """The one cell loop: the portfolio's best on every (m, p) cell.
+
+    The cells are computed in any order, split over an open worker_pool
+    by pool_map, and returned in row order.
+    """
     specs = default_portfolio() if specs is None else tuple(specs)
     m_values, p_values = tuple(m_values), tuple(p_values)
-    flat = [_best_at_cell(m, p, specs) for m in m_values for p in p_values]
+    flat = pool_map(_best_at_cell, [(m, p, specs) for m in m_values for p in p_values])
     prob = np.array(flat, dtype=float).reshape(len(m_values), len(p_values))
     base = np.empty_like(prob)
     for i, m in enumerate(m_values):

@@ -26,18 +26,34 @@ what _run_each does for differential evolution and random search.
 
 maximize runs its restarts through one helper, _restarts(model, hi,
 spec, first, stop), which returns the best values and points of
-restarts [first, stop).  By default it is called once, over all of them.
-Inside `with worker_pool():` maximize splits the restarts into n
-contiguous slices, n the CPUs this process may use (usable_cpus(),
-which an affinity mask such as taskset's limits): worker processes
-compute slices 1..n-1 while the calling process computes slice 0, and
-the slices are concatenated in restart order.  The bits cannot depend on the split.  A restart's stream
-is keyed by (seed, method, restart), not by its slice; the kernel scores
-every row on its own, so a lockstep step over fewer restarts gives each
-of them the same values; and np.argmax over the concatenation keeps the
-earliest restart of equal values, as over one call.  Validation stays
+restarts [first, stop).  It splits them into n contiguous slices, n the
+CPUs this process may use inside `with worker_pool():` (usable_cpus(),
+which an affinity mask such as taskset's limits) but at most the restart
+count, and 1 outside, and maps _restarts over the slices with pool_map;
+the slices are concatenated in restart order.  The bits cannot depend
+on the split.  A restart's stream is keyed by (seed, method, restart),
+not by its slice; the kernel scores every row on its own, so a lockstep
+step over fewer restarts gives each of them the same values; and
+np.argmax over the concatenation keeps the earliest restart of equal
+values, as over one call.  Validation stays
 in the caller, before anything is submitted, and maximize stays one call
 there, with its method and evaluation count.
+
+pool_map(fn, jobs) is the one place work crosses processes; the table's
+cell loop maps over cells through it as maximize maps over slices.  It
+runs serially, [fn(*job) for job in jobs], outside a pool, at one usable
+CPU, or with fewer jobs than the pool has processes, so a one-cell table
+still splits its restarts.  Otherwise jobs 1.. are submitted in order
+and the caller runs job 0 itself; then it walks back from the last job,
+running each one whose future it can still cancel, stops at the first
+one a worker has taken, and collects the rest.  Results come back in
+job order.  While the caller runs its share, no pool is open to it, so
+a map nested in a job (maximize inside a cell) runs serially rather than
+queueing its slices behind the cells; a worker process never has a pool.
+The caller runs whole jobs, not a part of each, so whatever wraps calls
+in the calling process, a profiler or a tracer, sees complete cells: a
+cell run there makes its portfolio_maximize call, and one maximize call
+per method, in this process.
 
 The pool's processes come from the forkserver start method, chosen
 explicitly: they fork from a server process that runs none of our work,
@@ -367,13 +383,13 @@ def usable_cpus() -> int:
 
 
 class _Pool:
-    """An open worker_pool: its slice count, and its executor once started."""
+    """An open worker_pool: its process count, and its executor once started."""
 
     def __init__(self, workers: int):
         self.workers = workers
         self.executor = None
 
-    def submit(self, *args):
+    def submit(self, fn, *args):
         if self.executor is None:
             # imported here: a serial caller never loads the pool machinery
             import multiprocessing
@@ -384,18 +400,18 @@ class _Pool:
                 mp_context=multiprocessing.get_context("forkserver"),
                 initializer=_ignore_sigint,
             )
-        return self.executor.submit(_restarts, *args)
+        return self.executor.submit(fn, *args)
 
     @staticmethod
     def result(future):
-        """A submitted slice; a pool whose worker died is refused, naming why."""
+        """A submitted job's result; a pool whose worker died is refused, naming why."""
         from concurrent.futures.process import BrokenProcessPool
 
         try:
             return future.result()
         except BrokenProcessPool as exc:
             raise QaoaLinearError(
-                "a worker process died before returning its restarts; every worker "
+                "a worker process died before returning its work; every worker "
                 "imports the main module, so a script that runs the optimizer needs "
                 'the `if __name__ == "__main__":` guard'
             ) from exc
@@ -412,11 +428,11 @@ def _ignore_sigint():
 
 @contextlib.contextmanager
 def worker_pool():
-    """Split every maximize call in the block over usable_cpus() processes.
+    """Split the pool_map calls in the block over usable_cpus() processes.
 
     The calling process is one of them, so usable_cpus() - 1 processes are
-    started, by the forkserver method, at the first maximize call that
-    splits (one with at least two restarts, on a host with two or more
+    started, by the forkserver method, at the first map that splits (one
+    with at least as many jobs as processes, on a host with two or more
     usable CPUs); a block that splits nothing starts none.  Results are
     bit for bit those of the serial path.  On leaving the block, however
     it is left, the pool's workers are shut down and reaped; the
@@ -424,7 +440,7 @@ def worker_pool():
     first pool, live until the interpreter exits.  The forkserver imports
     the main module, so a script that opens a pool needs the
     `if __name__ == "__main__":` guard; without it the pool breaks, and
-    maximize raises QaoaLinearError.
+    the map raises QaoaLinearError.
     """
     global _pool
     pool = _Pool(usable_cpus())
@@ -435,6 +451,31 @@ def worker_pool():
         _pool = outer
         if pool.executor is not None:
             pool.executor.shutdown(wait=True, cancel_futures=True)
+
+
+def pool_map(fn, jobs: list) -> list:
+    """[fn(*job) for job in jobs], with the jobs shared with the pool's workers.
+
+    When the map splits, fn and the jobs must pickle.  An exception from
+    a job propagates wherever it ran.  See the module docstring for the
+    order of work.
+    """
+    global _pool
+    pool = _pool
+    if pool is None or pool.workers < 2 or len(jobs) < pool.workers:
+        return [fn(*job) for job in jobs]
+    futures = [pool.submit(fn, *job) for job in jobs[1:]]
+    mine = {}
+    _pool = None  # a map inside the caller's share runs serially
+    try:
+        mine[0] = fn(*jobs[0])
+        last = len(jobs) - 1
+        while last > 0 and futures[last - 1].cancel():
+            mine[last] = fn(*jobs[last])
+            last -= 1
+    finally:
+        _pool = pool
+    return [mine[k] if k in mine else pool.result(futures[k - 1]) for k in range(len(jobs))]
 
 
 def _restarts(model: LinearIsing, hi: np.ndarray, spec: OptimizerSpec, first: int, stop: int):
@@ -467,20 +508,17 @@ def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationRes
     inside the box but is not confined to it (reflection can step out),
     so reported angles may lie outside the box, and without a known gamma
     period they need not equal an in-box point.  Inside worker_pool the
-    restarts are split over its processes, with the same result.
+    restarts are split over its processes by pool_map, with the same result.
     """
     p = positive_int(p, "layer count")
     period = gamma_period(model)
     gamma_box = period if period is not None else 2.0 * math.pi
     _check_phase(gamma_box, model.coeffs)
     hi = np.array([gamma_box] * p + [math.pi] * p)
-    # n contiguous slices of the restarts: the pool's workers run slices
-    # 1..n-1 while this process runs slice 0; serial when n is 1
-    pool = _pool
-    n = 1 if pool is None else min(pool.workers, spec.restarts)
+    # n contiguous slices of the restarts, one per process of the open pool
+    n = 1 if _pool is None else min(_pool.workers, spec.restarts)
     bounds = [spec.restarts * k // n for k in range(n + 1)]
-    futures = [pool.submit(model, hi, spec, *cut) for cut in zip(bounds[1:-1], bounds[2:])]
-    slices = [_restarts(model, hi, spec, 0, bounds[1])] + [pool.result(f) for f in futures]
+    slices = pool_map(_restarts, [(model, hi, spec, *cut) for cut in zip(bounds, bounds[1:])])
     values, points = (np.concatenate(parts) for parts in zip(*slices))
     i = int(np.argmax(values))
     best = points[i].tolist()

@@ -551,8 +551,8 @@ class TestUsageRules:
 
 
 class TestWorkers:
-    """Optimizer runs split their restarts over the usable CPUs; the output
-    is the same at one CPU and at two."""
+    """Tables split their cells, and optimizer runs their restarts, over the
+    usable CPUs; the output is the same at one CPU and at two."""
 
     @staticmethod
     def output(capsys, monkeypatch, cpus, *argv):
@@ -568,10 +568,11 @@ class TestWorkers:
             for seed in ("1", "2", "3", "824")
         ]
         + [
+            ["table", "--M", "3", "--P", "2", "--budget", "200", "--restarts", "1", "--seed", "5"],
             ["scan", "--p", "2", "--m-max", "3", "--budget", "200", "--seed", "1"],
             ["optimize", "--model", "1,2,3", "--p", "2", "--budget", "300", "--seed", "2"],
         ],
-        ids=["table-1", "table-2", "table-3", "table-824", "scan", "optimize"],
+        ids=["table-1", "table-2", "table-3", "table-824", "table-restarts-1", "scan", "optimize"],
     )
     def test_output_does_not_depend_on_usable_cpus(self, capsys, monkeypatch, argv):
         serial = self.output(capsys, monkeypatch, 1, *argv)

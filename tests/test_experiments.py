@@ -83,19 +83,17 @@ class TestBuildTables:
         assert "2,1,0.000000,inf\n" in table.to_csv()
 
     def test_error_at_a_cell_reaps_the_pool(self, monkeypatch):
-        # the first two cells split their restarts over the pool; the third raises
+        # a worker takes the cells after the first; the caller's own cell
+        # raises, since only the caller looks up the patched portfolio
         monkeypatch.setattr(optimizers, "usable_cpus", lambda: 2)
-        best_at_cell = experiments._best_at_cell
-        error = RuntimeError("third cell")
+        error = RuntimeError("caller's cell")
         started = []
 
-        def failing(m, p, specs):
-            if (m, p) == (2, 1):
-                started.extend(multiprocessing.active_children())
-                raise error
-            return best_at_cell(m, p, specs)
+        def failing(model, p, specs):
+            started.extend(multiprocessing.active_children())
+            raise error
 
-        monkeypatch.setattr(experiments, "_best_at_cell", failing)
+        monkeypatch.setattr(experiments, "portfolio_maximize", failing)
         with pytest.raises(RuntimeError) as raised:
             with worker_pool():
                 build_tables(3, 2, LEAN_SPECS)
@@ -117,6 +115,47 @@ class TestBuildTables:
             build_tables(0, 1, LEAN_SPECS)
         with pytest.raises(ValueError):
             build_tables(1, 1, ())
+
+
+class TestCellsInWorkers:
+    """Inside worker_pool, whole cells run in the caller and in a worker,
+    and the table is bit for bit the serial one."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("master", [1, 2, 3, 824])
+    def test_same_bits_as_serial(self, master):
+        specs = default_portfolio(seed=master, budget=200, restarts=2)
+
+        def bits():
+            table, entries = build_tables(4, 3, specs), conjecture_scan(3, 4, specs)
+            return [x.hex() for x in table.prob.ravel().tolist()], [
+                e.best_prob.hex() for e in entries
+            ]
+
+        serial = bits()
+        with worker_pool():
+            assert bits() == serial
+        assert multiprocessing.active_children() == []
+
+    def test_cells_split_and_not_their_restarts(self, monkeypatch):
+        submitted = []
+        submit = optimizers._Pool.submit
+
+        def spy(self, fn, *args):
+            submitted.append(fn)
+            return submit(self, fn, *args)
+
+        monkeypatch.setattr(optimizers._Pool, "submit", spy)
+        with worker_pool():
+            build_tables(2, 2, LEAN_SPECS)
+        assert submitted and set(submitted) == {experiments._best_at_cell}
+        submitted.clear()
+        with worker_pool():
+            build_tables(1, 1, LEAN_SPECS)  # one cell: its restarts split
+        assert submitted == [optimizers._restarts] * len(LEAN_SPECS)
 
 
 class TestSampling:
@@ -247,6 +286,8 @@ class TestConjectureScan:
         entries = conjecture_scan(2, 4, LEAN_SPECS)
         assert [e.anomaly for e in entries] == [False, False, True, True]
         assert not any(e.below_one for e in entries)
+        # serial: a worker process would run the real cells
+        monkeypatch.setattr(optimizers, "usable_cpus", lambda: 1)
         assert cli.main(["scan", "--p", "2", "--m-max", "4"]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert out.count("anomaly=true") == 2

@@ -23,6 +23,7 @@ from qaoa_linear.optimizers import (
     default_portfolio,
     gamma_period,
     maximize,
+    pool_map,
     portfolio_maximize,
     worker_pool,
 )
@@ -345,6 +346,34 @@ class TestWorkerPool:
         monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
         specs = default_portfolio(seed=4, budget=200, restarts=4)
         portfolio_maximize(LinearIsing((1.0, 2.0)), 1, specs)
+        assert multiprocessing.active_children() == []
+
+
+class TestPoolMap:
+    """pool_map is [fn(*job) for job in jobs], wherever each job runs."""
+
+    @pytest.mark.parametrize("cpus,jobs", [(2, 1), (3, 2)])
+    def test_fewer_jobs_than_processes_start_no_process(self, monkeypatch, cpus, jobs):
+        monkeypatch.setattr(optimizers, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
+        with worker_pool():
+            assert pool_map(math.sqrt, [(4.0,)] * jobs) == [2.0] * jobs
+        assert multiprocessing.active_children() == []
+
+    def test_results_in_job_order(self, two_cpus):
+        with worker_pool():
+            assert pool_map(math.sqrt, [(float(k * k),) for k in range(6)]) == list(range(6))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [[(-1.0,), (4.0,), (9.0,)], [(4.0,), (-1.0,), (9.0,)], [(4.0,), (9.0,), (-1.0,)]],
+        ids=["caller", "second", "last"],
+    )
+    def test_error_propagates_and_reaps(self, two_cpus, jobs):
+        with pytest.raises(ValueError):
+            with worker_pool():
+                pool_map(math.sqrt, jobs)
         assert multiprocessing.active_children() == []
 
 
