@@ -43,13 +43,22 @@ pool_map(fn, jobs) is the one place work crosses processes; the table's
 cell loop maps over cells through it as maximize maps over slices.  It
 runs serially, [fn(*job) for job in jobs], outside a pool, at one usable
 CPU, or with fewer jobs than the pool has processes, so a one-cell table
-still splits its restarts.  Otherwise jobs 1.. are submitted in order
-and the caller runs job 0 itself; then it walks back from the last job,
-running each one whose future it can still cancel, stops at the first
-one a worker has taken, and collects the rest.  Results come back in
-job order.  While the caller runs its share, no pool is open to it, so
-a map nested in a job (maximize inside a cell) runs serially rather than
-queueing its slices behind the cells; a worker process never has a pool.
+still splits its restarts.  Otherwise the jobs are pulled, never pushed:
+the pool's (front, back) counter is set to [1, len(jobs)), each worker
+runs one _drain, which takes the next index from the front until the
+counter is empty, and the caller runs job 0, then takes indices from
+the back (the two-ended scheme of Blumofe and Leiserson, J. ACM 46(5),
+1999, in its smallest form).  So no job waits in a queue, and when the
+caller finds the counter empty, only the jobs the workers are running
+remain.  Results come back in job order.  A job that raises, in the
+caller or in a worker, empties the counter, as does Ctrl-C in the
+caller, so every worker stops after its current job; the map raises
+once every drain has ended, so the next map's counter is its own.  The
+counter is a shared array, handed to each worker as it starts: a lock
+cannot travel through submit.  While the caller runs its share, no pool is open to
+it, so a map nested in a job (maximize inside a cell) runs serially
+rather than queueing its slices behind the cells; a worker process never
+has a pool.
 The caller runs whole jobs, not a part of each, so whatever wraps calls
 in the calling process, a profiler or a tracer, sees complete cells: a
 cell run there makes its portfolio_maximize call, and one maximize call
@@ -383,23 +392,33 @@ def usable_cpus() -> int:
 
 
 class _Pool:
-    """An open worker_pool: its process count, and its executor once started."""
+    """An open worker_pool: its process count and, once started, its
+    executor and the (front, back) counter of the jobs its workers drain."""
 
     def __init__(self, workers: int):
         self.workers = workers
         self.executor = None
+        self.counter = None
 
-    def submit(self, fn, *args):
+    def start(self):
+        """The shared counter, with the executor that hands it to each worker."""
         if self.executor is None:
             # imported here: a serial caller never loads the pool machinery
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
+            context = multiprocessing.get_context("forkserver")
+            # a SemLock cannot travel through submit, only to a starting process
+            self.counter = context.Array("q", 2)
             self.executor = ProcessPoolExecutor(
                 self.workers - 1,
-                mp_context=multiprocessing.get_context("forkserver"),
-                initializer=_ignore_sigint,
+                mp_context=context,
+                initializer=_start_worker,
+                initargs=(self.counter,),
             )
+        return self.counter
+
+    def submit(self, fn, *args):
         return self.executor.submit(fn, *args)
 
     @staticmethod
@@ -418,12 +437,49 @@ class _Pool:
 
 
 _pool: _Pool | None = None  # the innermost open worker_pool
+_counter = None  # in a worker process, its pool's shared counter
 
 
-def _ignore_sigint():
-    # Ctrl-C reaches the whole process group; the caller alone handles it
-    # and shuts the pool down.
+def _start_worker(counter):
+    # Ctrl-C reaches the whole process group; the caller alone handles it,
+    # empties the counter and shuts the pool down.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    global _counter
+    _counter = counter
+
+
+def _take(counter, back: bool = False):
+    """The next index of counter's [front, back) range, taken from its
+    front or its back, or None once the range is empty."""
+    with counter.get_lock():
+        ends = counter.get_obj()
+        if ends[0] >= ends[1]:
+            return None
+        if back:
+            ends[1] -= 1
+            return ends[1]
+        ends[0] += 1
+        return ends[0] - 1
+
+
+def _empty(counter):
+    """Take every index left, so that each worker stops after its current job."""
+    with counter.get_lock():
+        ends = counter.get_obj()
+        ends[1] = ends[0]
+
+
+def _drain(fn, jobs: list) -> dict:
+    """A worker's share of a map: {k: fn(*jobs[k])} for each index k it
+    takes from the front of the counter, until the counter is empty."""
+    done = {}
+    try:
+        while (k := _take(_counter)) is not None:
+            done[k] = fn(*jobs[k])
+    except BaseException:
+        _empty(_counter)
+        raise
+    return done
 
 
 @contextlib.contextmanager
@@ -435,12 +491,12 @@ def worker_pool():
     with at least as many jobs as processes, on a host with two or more
     usable CPUs); a block that splits nothing starts none.  Results are
     bit for bit those of the serial path.  On leaving the block, however
-    it is left, the pool's workers are shut down and reaped; the
-    forkserver and multiprocessing's resource tracker, started with the
-    first pool, live until the interpreter exits.  The forkserver imports
-    the main module, so a script that opens a pool needs the
-    `if __name__ == "__main__":` guard; without it the pool breaks, and
-    the map raises QaoaLinearError.
+    it is left, the pool's workers are shut down and reaped, each after
+    the job it is running; the forkserver and multiprocessing's resource
+    tracker, started with the first pool, live until the interpreter
+    exits.  The forkserver imports the main module, so a script that
+    opens a pool needs the `if __name__ == "__main__":` guard; without it
+    the pool breaks, and the map raises QaoaLinearError.
     """
     global _pool
     pool = _Pool(usable_cpus())
@@ -457,25 +513,34 @@ def pool_map(fn, jobs: list) -> list:
     """[fn(*job) for job in jobs], with the jobs shared with the pool's workers.
 
     When the map splits, fn and the jobs must pickle.  An exception from
-    a job propagates wherever it ran.  See the module docstring for the
-    order of work.
+    a job propagates wherever it ran, and no job starts after it.  See
+    the module docstring for the order of work.
     """
     global _pool
     pool = _pool
     if pool is None or pool.workers < 2 or len(jobs) < pool.workers:
         return [fn(*job) for job in jobs]
-    futures = [pool.submit(fn, *job) for job in jobs[1:]]
-    mine = {}
+    counter = pool.start()
+    counter[:] = [1, len(jobs)]  # every drain of an earlier map has ended
+    drains, done = [], {}
     _pool = None  # a map inside the caller's share runs serially
     try:
-        mine[0] = fn(*jobs[0])
-        last = len(jobs) - 1
-        while last > 0 and futures[last - 1].cancel():
-            mine[last] = fn(*jobs[last])
-            last -= 1
+        for _ in range(pool.workers - 1):
+            drains.append(pool.submit(_drain, fn, jobs))
+        done[0] = fn(*jobs[0])
+        while (k := _take(counter, back=True)) is not None:
+            done[k] = fn(*jobs[k])
+        for drain in drains:
+            done.update(pool.result(drain))
+    except BaseException:
+        from concurrent.futures import wait
+
+        _empty(counter)
+        wait(drains)  # so that no drain takes from the next map's counter
+        raise
     finally:
         _pool = pool
-    return [mine[k] if k in mine else pool.result(futures[k - 1]) for k in range(len(jobs))]
+    return [done[k] for k in range(len(jobs))]
 
 
 def _restarts(model: LinearIsing, hi: np.ndarray, spec: OptimizerSpec, first: int, stop: int):

@@ -141,12 +141,13 @@ class TestCellsInWorkers:
         assert multiprocessing.active_children() == []
 
     def test_cells_split_and_not_their_restarts(self, monkeypatch):
-        submitted = []
+        submitted = []  # the function each worker's drain runs
         submit = optimizers._Pool.submit
 
-        def spy(self, fn, *args):
+        def spy(self, drain, fn, jobs):
+            assert drain is optimizers._drain
             submitted.append(fn)
-            return submit(self, fn, *args)
+            return submit(self, drain, fn, jobs)
 
         monkeypatch.setattr(optimizers._Pool, "submit", spy)
         with worker_pool():
@@ -156,6 +157,36 @@ class TestCellsInWorkers:
         with worker_pool():
             build_tables(1, 1, LEAN_SPECS)  # one cell: its restarts split
         assert submitted == [optimizers._restarts] * len(LEAN_SPECS)
+
+
+class TestTwoWorkers:
+    """At three usable CPUs, two workers drain one counter beside the caller."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "usable_cpus", lambda: 3)
+
+    @pytest.mark.parametrize("master", [1, 824])
+    def test_same_bits_as_serial(self, master):
+        specs = default_portfolio(seed=master, budget=200, restarts=2)
+
+        def bits():
+            table, entries = build_tables(4, 3, specs), conjecture_scan(3, 4, specs)
+            return [x.hex() for x in table.prob.ravel().tolist()], [
+                e.best_prob.hex() for e in entries
+            ]
+
+        serial = bits()
+        with worker_pool():
+            assert bits() == serial
+        assert multiprocessing.active_children() == []
+
+    def test_results_in_job_order(self):
+        # many short jobs: a lost update of the counter drops or repeats one
+        jobs = [(float(k * k),) for k in range(200)]
+        with worker_pool():
+            assert optimizers.pool_map(math.sqrt, jobs) == list(range(200))
+        assert multiprocessing.active_children() == []
 
 
 class TestSampling:

@@ -7,6 +7,9 @@ acceptance suite.
 import contextlib
 import math
 import multiprocessing
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,6 +378,44 @@ class TestPoolMap:
             with worker_pool():
                 pool_map(math.sqrt, jobs)
         assert multiprocessing.active_children() == []
+
+    def test_error_stops_every_worker_after_its_job(self, two_cpus, tmp_path):
+        # the worker takes job 1 from the front; the caller's job 0 raises
+        # once job 1 has started, and no job starts after that
+        with pytest.raises(RuntimeError, match="job 0"):
+            with worker_pool():
+                pool_map(_record, [(str(tmp_path), k) for k in range(6)])
+        ran = {int(path.name): int(path.read_text()) for path in tmp_path.iterdir()}
+        assert sorted(ran) == [0, 1]
+        assert [k for k, pid in ran.items() if pid != os.getpid()] == [1]
+        assert multiprocessing.active_children() == []
+
+    def test_a_map_after_an_error_runs_only_its_own_jobs(self, two_cpus, tmp_path):
+        # the first map's worker is still in job 1 when its error reaches
+        # the caller; no job of that map may run on the second map's counter
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        with worker_pool():
+            with pytest.raises(RuntimeError, match="job 0"):
+                pool_map(_record, [(str(first), k) for k in range(6)])
+            assert pool_map(_record, [(str(second), k) for k in range(1, 5)]) == [None] * 4
+        assert sorted(int(path.name) for path in first.iterdir()) == [0, 1]
+        assert sorted(int(path.name) for path in second.iterdir()) == [1, 2, 3, 4]
+        assert multiprocessing.active_children() == []
+
+
+def _record(directory, k):
+    """Job k: records this process's id under directory as the file k.
+    Job 0 waits until another job has started, then raises."""
+    folder = Path(directory)
+    (folder / str(k)).write_text(str(os.getpid()))
+    if k == 0:
+        deadline = time.monotonic() + 60.0
+        while len(list(folder.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise RuntimeError("job 0")
+    time.sleep(0.5)
 
 
 def _no_split(*args):
