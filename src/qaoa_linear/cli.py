@@ -13,8 +13,8 @@ Once the options resolve, main prints their provenance lines, in table
 order, before the command runs, so a captured output identifies the run
 that produced it, even one that then fails.  Every command runs inside
 optimizers.worker_pool, so table and scan split their cells, and the
-optimizer runs of optimize and sample their restarts, over every CPU
-this process may use; the output does not depend on how many.  Results
+portfolios of optimize and sample --p their members, over the CPUs this
+process may use; the output does not depend on how many.  Results
 are flat key=value records; tables are CSV; --out writes to a file in
 place of stdout, through a temporary file beside it that is created
 before the work starts and renamed over it only when the command
@@ -482,7 +482,7 @@ def main(argv=None) -> int:
     try:
         try:
             print(*_resolve(ns), sep="\n")
-            with worker_pool():  # starts processes only if a table or an optimizer run splits
+            with worker_pool():  # starts processes only if a table or a portfolio splits
                 return ns.func(ns)
         finally:
             sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit

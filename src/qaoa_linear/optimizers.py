@@ -24,45 +24,38 @@ Each restart keeps its own stream and running best, so the results are
 bit for bit those of running the restarts one after another, which is
 what _run_each does for differential evolution and random search.
 
-maximize runs its restarts through one helper, _restarts(model, hi,
-spec, first, stop), which returns the best values and points of
-restarts [first, stop).  It splits them into n contiguous slices, n the
-CPUs this process may use inside `with worker_pool():` (usable_cpus(),
-which an affinity mask such as taskset's limits) but at most the restart
-count, and 1 outside, and maps _restarts over the slices with pool_map;
-the slices are concatenated in restart order.  The bits cannot depend
-on the split.  A restart's stream is keyed by (seed, method, restart),
-not by its slice; the kernel scores every row on its own, so a lockstep
-step over fewer restarts gives each of them the same values; and
-np.argmax over the concatenation keeps the earliest restart of equal
-values, as over one call.  Validation stays
-in the caller, before anything is submitted, and maximize stays one call
-there, with its method and evaluation count.
+portfolio_maximize maps maximize over its specs with pool_map, the one
+place work crosses processes; the table's cell loop maps over cells
+through it the same way.  Every split ships whole calls of existing
+functions, each call is deterministic, and results come back in job
+order, so the bits cannot depend on the split.  portfolio_maximize
+validates p and the phase before the map, so a bad input is refused
+before anything is submitted.  The trade: a single spec runs in one
+process, and the default portfolio uses at most four.
 
-pool_map(fn, jobs) is the one place work crosses processes; the table's
-cell loop maps over cells through it as maximize maps over slices.  It
-runs serially, [fn(*job) for job in jobs], outside a pool, at one usable
-CPU, or with fewer jobs than the pool has processes, so a one-cell table
-still splits its restarts.  Otherwise the jobs are pulled, never pushed:
-the pool's (front, back) counter is set to [1, len(jobs)), each worker
-runs one _drain, which takes the next index from the front until the
-counter is empty, and the caller runs job 0, then takes indices from
-the back (the two-ended scheme of Blumofe and Leiserson, J. ACM 46(5),
-1999, in its smallest form).  So no job waits in a queue, and when the
-caller finds the counter empty, only the jobs the workers are running
-remain.  Results come back in job order.  A job that raises, in the
-caller or in a worker, empties the counter, as does Ctrl-C in the
-caller, so every worker stops after its current job; the map raises
-once every drain has ended, so the next map's counter is its own.  The
-counter is a shared array, handed to each worker as it starts: a lock
-cannot travel through submit.  While the caller runs its share, no pool is open to
-it, so a map nested in a job (maximize inside a cell) runs serially
-rather than queueing its slices behind the cells; a worker process never
-has a pool.
+pool_map(fn, jobs) runs serially, [fn(*job) for job in jobs], outside a
+pool, at one usable CPU, or with one job.  Otherwise it splits over
+min(usable CPUs, len(jobs)) processes, the caller included, and the
+jobs are pulled, never pushed: the pool's (front, back) counter is set
+to [1, len(jobs)), each worker runs one _drain, which takes the next
+index from the front until the counter is empty, and the caller runs
+job 0, then takes indices from the back (the two-ended scheme of
+Blumofe and Leiserson, J. ACM 46(5), 1999, in its smallest form).  So
+no job waits in a queue, and when the caller finds the counter empty,
+only the jobs the workers are running remain.  Results come back in job
+order.  A job that raises, in the caller or in a worker, empties the
+counter, as does Ctrl-C in the caller, so every worker stops after its
+current job; the map raises once every drain has ended, so the next
+map's counter is its own.  The counter is a shared array, handed to
+each worker as it starts: a lock cannot travel through submit.  While
+the caller runs its share, no pool is open to it, so a map nested in a
+job (the members of a cell's portfolio) runs serially rather than
+queueing behind the cells; a worker process never has a pool.
 The caller runs whole jobs, not a part of each, so whatever wraps calls
-in the calling process, a profiler or a tracer, sees complete cells: a
+in the calling process, a profiler or a tracer, sees complete calls: a
 cell run there makes its portfolio_maximize call, and one maximize call
-per method, in this process.
+per method, in this process, and a portfolio split over its members
+makes there the maximize calls it runs itself.
 
 The pool's processes come from the forkserver start method, chosen
 explicitly: they fork from a server process that runs none of our work,
@@ -486,17 +479,17 @@ def _drain(fn, jobs: list) -> dict:
 def worker_pool():
     """Split the pool_map calls in the block over usable_cpus() processes.
 
-    The calling process is one of them, so usable_cpus() - 1 processes are
-    started, by the forkserver method, at the first map that splits (one
-    with at least as many jobs as processes, on a host with two or more
-    usable CPUs); a block that splits nothing starts none.  Results are
-    bit for bit those of the serial path.  On leaving the block, however
-    it is left, the pool's workers are shut down and reaped, each after
-    the job it is running; the forkserver and multiprocessing's resource
-    tracker, started with the first pool, live until the interpreter
-    exits.  The forkserver imports the main module, so a script that
-    opens a pool needs the `if __name__ == "__main__":` guard; without it
-    the pool breaks, and the map raises QaoaLinearError.
+    The calling process is one of them.  A map of k >= 2 jobs uses
+    min(usable_cpus(), k) processes, so at most usable_cpus() - 1 are
+    started, by the forkserver method, as the maps need them; a block
+    that splits nothing starts none.  Results are bit for bit those of
+    the serial path.  On leaving the block, however it is left, the
+    pool's workers are shut down and reaped, each after the job it is
+    running; the forkserver and multiprocessing's resource tracker,
+    started with the first pool, live until the interpreter exits.  The
+    forkserver imports the main module, so a script that opens a pool
+    needs the `if __name__ == "__main__":` guard; without it the pool
+    breaks, and the map raises QaoaLinearError.
     """
     global _pool
     pool = _Pool(usable_cpus())
@@ -512,20 +505,24 @@ def worker_pool():
 def pool_map(fn, jobs: list) -> list:
     """[fn(*job) for job in jobs], with the jobs shared with the pool's workers.
 
-    When the map splits, fn and the jobs must pickle.  An exception from
-    a job propagates wherever it ran, and no job starts after it.  See
-    the module docstring for the order of work.
+    Inside worker_pool, a map of two or more jobs splits over
+    min(usable_cpus(), len(jobs)) processes, the caller included, unless
+    it is nested in a job the caller runs.  When the map splits, fn and
+    the jobs must pickle.  An exception from a job propagates wherever
+    it ran, and no job starts after it.  See the module docstring for
+    the order of work.
     """
     global _pool
     pool = _pool
-    if pool is None or pool.workers < 2 or len(jobs) < pool.workers:
+    processes = 0 if pool is None else min(pool.workers, len(jobs))
+    if processes < 2:
         return [fn(*job) for job in jobs]
     counter = pool.start()
     counter[:] = [1, len(jobs)]  # every drain of an earlier map has ended
     drains, done = [], {}
     _pool = None  # a map inside the caller's share runs serially
     try:
-        for _ in range(pool.workers - 1):
+        for _ in range(processes - 1):
             drains.append(pool.submit(_drain, fn, jobs))
         done[0] = fn(*jobs[0])
         while (k := _take(counter, back=True)) is not None:
@@ -543,21 +540,14 @@ def pool_map(fn, jobs: list) -> list:
     return [done[k] for k in range(len(jobs))]
 
 
-def _restarts(model: LinearIsing, hi: np.ndarray, spec: OptimizerSpec, first: int, stop: int):
-    """Restarts [first, stop) of spec over the box [0, hi): their best values
-    and points, as two arrays in restart order."""
-    p = hi.size // 2
-    kernel = qubit_kernel(model)
-
-    def objective(xs: np.ndarray) -> np.ndarray:
-        return np.multiply.reduce(kernel(xs[:, :p], xs[:, p:]), axis=0)
-
-    method_id = METHODS.index(spec.method)
-    rngs = [_make_rng(spec.seed, method_id, restart) for restart in range(first, stop)]
-    # Nelder-Mead can reflect past the box, where gamma*a overflows: such a
-    # point scores NaN, which never beats a running best, so nothing changes.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _RUNNERS[method_id](objective, rngs, hi, spec.budget)
+def _box(model: LinearIsing, p) -> np.ndarray:
+    """The far corner of maximize's angle box, [G]*p + [pi]*p; raises
+    ValueError on a bad layer count or a phase G*a that overflows."""
+    p = positive_int(p, "layer count")
+    period = gamma_period(model)
+    gamma_box = period if period is not None else 2.0 * math.pi
+    _check_phase(gamma_box, model.coeffs)
+    return np.array([gamma_box] * p + [math.pi] * p)
 
 
 def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationResult:
@@ -572,19 +562,21 @@ def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationRes
     angles, which is prob_opt's there, bit for bit.  Nelder-Mead starts
     inside the box but is not confined to it (reflection can step out),
     so reported angles may lie outside the box, and without a known gamma
-    period they need not equal an in-box point.  Inside worker_pool the
-    restarts are split over its processes by pool_map, with the same result.
+    period they need not equal an in-box point.
     """
-    p = positive_int(p, "layer count")
-    period = gamma_period(model)
-    gamma_box = period if period is not None else 2.0 * math.pi
-    _check_phase(gamma_box, model.coeffs)
-    hi = np.array([gamma_box] * p + [math.pi] * p)
-    # n contiguous slices of the restarts, one per process of the open pool
-    n = 1 if _pool is None else min(_pool.workers, spec.restarts)
-    bounds = [spec.restarts * k // n for k in range(n + 1)]
-    slices = pool_map(_restarts, [(model, hi, spec, *cut) for cut in zip(bounds, bounds[1:])])
-    values, points = (np.concatenate(parts) for parts in zip(*slices))
+    hi = _box(model, p)
+    p = hi.size // 2
+    kernel = qubit_kernel(model)
+
+    def objective(xs: np.ndarray) -> np.ndarray:
+        return np.multiply.reduce(kernel(xs[:, :p], xs[:, p:]), axis=0)
+
+    method_id = METHODS.index(spec.method)
+    rngs = [_make_rng(spec.seed, method_id, restart) for restart in range(spec.restarts)]
+    # Nelder-Mead can reflect past the box, where gamma*a overflows: such a
+    # point scores NaN, which never beats a running best, so nothing changes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, points = _RUNNERS[method_id](objective, rngs, hi, spec.budget)
     i = int(np.argmax(values))
     best = points[i].tolist()
     return OptimizationResult(
@@ -598,10 +590,13 @@ def maximize(model: LinearIsing, p: int, spec: OptimizerSpec) -> OptimizationRes
 
 def portfolio_maximize(model: LinearIsing, p: int, specs) -> OptimizationResult:
     """Best result across several specs, ties keeping the earliest spec;
-    its evaluations_used is the sum over the specs."""
+    its evaluations_used is the sum over the specs.  Inside worker_pool
+    the specs are split over its processes by pool_map, with the same
+    result; a bad p or model is refused before any of them runs."""
     specs = tuple(specs)
     if not specs:
         raise ValueError("portfolio needs at least one OptimizerSpec")
-    results = [maximize(model, p, spec) for spec in specs]
+    _box(model, p)
+    results = pool_map(maximize, [(model, p, spec) for spec in specs])
     best = max(results, key=lambda result: result.best_value)  # first of equals
     return replace(best, evaluations_used=sum(r.evaluations_used for r in results))

@@ -551,7 +551,7 @@ class TestUsageRules:
 
 
 class TestWorkers:
-    """Tables split their cells, and optimizer runs their restarts, over the
+    """Tables split their cells, and portfolios their members, over the
     usable CPUs; the output is the same at one CPU and at two."""
 
     @staticmethod
@@ -571,8 +571,12 @@ class TestWorkers:
             ["table", "--M", "3", "--P", "2", "--budget", "200", "--restarts", "1", "--seed", "5"],
             ["scan", "--p", "2", "--m-max", "3", "--budget", "200", "--seed", "1"],
             ["optimize", "--model", "1,2,3", "--p", "2", "--budget", "300", "--seed", "2"],
+            ["sample", "--model", "1,2,3", "--p", "2", "--runs", "200", "--budget", "300", "--seed", "3"],
         ],
-        ids=["table-1", "table-2", "table-3", "table-824", "table-restarts-1", "scan", "optimize"],
+        ids=[
+            "table-1", "table-2", "table-3", "table-824", "table-restarts-1", "scan", "optimize",
+            "sample-p",
+        ],
     )
     def test_output_does_not_depend_on_usable_cpus(self, capsys, monkeypatch, argv):
         serial = self.output(capsys, monkeypatch, 1, *argv)

@@ -155,8 +155,8 @@ class TestCellsInWorkers:
         assert submitted and set(submitted) == {experiments._best_at_cell}
         submitted.clear()
         with worker_pool():
-            build_tables(1, 1, LEAN_SPECS)  # one cell: its restarts split
-        assert submitted == [optimizers._restarts] * len(LEAN_SPECS)
+            build_tables(1, 1, LEAN_SPECS)  # one cell: its two members split
+        assert submitted == [optimizers.maximize]
 
 
 class TestTwoWorkers:

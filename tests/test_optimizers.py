@@ -4,11 +4,11 @@ Most tests run at reduced budgets; the full-budget numbers live in the
 acceptance suite.
 """
 
-import contextlib
 import math
 import multiprocessing
 import os
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -295,55 +295,57 @@ def two_cpus(monkeypatch):
 
 
 class TestGoldenTrajectories:
-    """Each recorded result, serial and with the restarts split over two
-    processes (unequal slices where restarts is odd)."""
+    """Each recorded result, serial and with the four methods mapped over
+    two processes."""
 
     @pytest.mark.parametrize("cell", list(GOLDEN), ids=["m2p1", "m5p3", "mixed-p2"])
     def test_every_method_repeats_recorded_result(self, cell, two_cpus):
         model, p, base_spec = cell
-        for pool in (contextlib.nullcontext(), worker_pool()):
-            with pool:
-                for method, value_hex, gammas, betas, used in GOLDEN[cell]:
-                    spec = OptimizerSpec(method, base_spec.budget, base_spec.seed, base_spec.restarts)
-                    result = maximize(model, p, spec)
-                    assert (result.best_value.hex(), result.best_gammas, result.best_betas) == (
-                        value_hex,
-                        gammas,
-                        betas,
-                    ), (method, pool)
-                    assert result.evaluations_used == used, method
+        specs = [
+            OptimizerSpec(row[0], base_spec.budget, base_spec.seed, base_spec.restarts)
+            for row in GOLDEN[cell]
+        ]
+        serial = [maximize(model, p, spec) for spec in specs]
+        with worker_pool():
+            split = pool_map(maximize, [(model, p, spec) for spec in specs])
+        assert multiprocessing.active_children() == []
+        for results in (serial, split):
+            for result, (method, value_hex, gammas, betas, used) in zip(results, GOLDEN[cell]):
+                assert (result.best_value.hex(), result.best_gammas, result.best_betas) == (
+                    value_hex,
+                    gammas,
+                    betas,
+                ), method
+                assert (result.method, result.evaluations_used) == (method, used)
 
-    def test_restart_ties_keep_the_earliest(self, two_cpus):
-        # several restarts reach the same best bits; the first one wins.
-        # Split in two, restarts 1 and 3 of the first slice and all four of
-        # the second tie: the first slice's restart 1 still wins.
+    def test_restart_ties_keep_the_earliest(self):
+        # several restarts reach the same best bits; the first one wins
         spec = OptimizerSpec("nelder-mead", budget=2000, seed=1, restarts=8)
-        for pool in (contextlib.nullcontext(), worker_pool()):
-            with pool:
-                result = maximize(LinearIsing((1.0,)), 1, spec)
-            assert result.best_value.hex() == "0x1.0000000000001p+0"
-            assert (result.best_gammas, result.best_betas) == (
-                (2.3561944909280665,),
-                (2.3561944874909324,),
-            )
-            assert result.evaluations_used == 16000
+        result = maximize(LinearIsing((1.0,)), 1, spec)
+        assert result.best_value.hex() == "0x1.0000000000001p+0"
+        assert (result.best_gammas, result.best_betas) == (
+            (2.3561944909280665,),
+            (2.3561944874909324,),
+        )
+        assert result.evaluations_used == 16000
 
 
 class TestWorkerPool:
-    """A pool starts processes only for a call that splits."""
+    """A pool starts processes only for a map that splits, and a bad
+    input is refused before anything is submitted."""
 
-    def test_one_restart_starts_no_process(self, monkeypatch, two_cpus):
+    def test_one_spec_portfolio_starts_no_process(self, monkeypatch, two_cpus):
         monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
-        spec = OptimizerSpec("random-search", budget=100, seed=3, restarts=1)
+        spec = OptimizerSpec("random-search", budget=100, seed=3, restarts=4)
         with worker_pool():
-            maximize(LinearIsing((1.0, 2.0)), 1, spec)
+            portfolio_maximize(LinearIsing((1.0, 2.0)), 1, [spec])
 
     def test_one_usable_cpu_starts_no_process(self, monkeypatch):
         monkeypatch.setattr(optimizers, "usable_cpus", lambda: 1)
         monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
-        spec = OptimizerSpec("random-search", budget=100, seed=3, restarts=4)
+        specs = default_portfolio(seed=4, budget=100, restarts=2)
         with worker_pool():
-            maximize(LinearIsing((1.0, 2.0)), 1, spec)
+            portfolio_maximize(LinearIsing((1.0, 2.0)), 1, specs)
 
     def test_serial_outside_any_pool(self, monkeypatch):
         monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
@@ -351,16 +353,43 @@ class TestWorkerPool:
         portfolio_maximize(LinearIsing((1.0, 2.0)), 1, specs)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize(
+        "model,p",
+        # pi * 1e308 overflows: the HUGE model of test_inputs.py
+        [(LinearIsing((1.0, 2.0)), 0), (LinearIsing((1e308, 3.0)), 1)],
+        ids=["p0", "huge-phase"],
+    )
+    def test_bad_input_refused_before_any_submit(self, monkeypatch, two_cpus, model, p):
+        monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
+        specs = default_portfolio(seed=4, budget=100, restarts=2)
+        with worker_pool():
+            with pytest.raises(ValueError):
+                portfolio_maximize(model, p, specs)
+        assert multiprocessing.active_children() == []
+
 
 class TestPoolMap:
     """pool_map is [fn(*job) for job in jobs], wherever each job runs."""
 
-    @pytest.mark.parametrize("cpus,jobs", [(2, 1), (3, 2)])
-    def test_fewer_jobs_than_processes_start_no_process(self, monkeypatch, cpus, jobs):
+    @pytest.mark.parametrize(
+        "cpus,jobs,drains", [(2, 1, 0), (3, 2, 1), (9, 7, 6)], ids=["2-1", "3-2", "9-7"]
+    )
+    def test_one_drain_per_process_beside_the_caller(self, monkeypatch, cpus, jobs, drains):
+        # min(cpus, jobs) processes; each spied drain finds nothing to take,
+        # so the caller runs every job and no process starts
+        submitted = []
+
+        def spy(self, fn, *args):
+            submitted.append(fn)
+            future = Future()
+            future.set_result({})
+            return future
+
         monkeypatch.setattr(optimizers, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
+        monkeypatch.setattr(optimizers._Pool, "submit", spy)
         with worker_pool():
             assert pool_map(math.sqrt, [(4.0,)] * jobs) == [2.0] * jobs
+        assert submitted == [optimizers._drain] * drains
         assert multiprocessing.active_children() == []
 
     def test_results_in_job_order(self, two_cpus):
@@ -419,7 +448,7 @@ def _record(directory, k):
 
 
 def _no_split(*args):
-    raise AssertionError("maximize split its restarts")
+    raise AssertionError("a map split over the pool")
 
 
 class TestDifferentialEvolutionDraws:
