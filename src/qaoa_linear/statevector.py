@@ -11,8 +11,11 @@ layer: exp(-i*gamma*L) over the objective values L of the 15 qubits
 inside a block, and exp(-i*gamma*H) over those of the at most five
 higher qubits, one entry per block.  The mixing layer goes five qubits
 per matmul: the 32 x 32 operator rx(2*beta)^(x 5) on groups of the 15
-qubits inside a block, and once on the higher qubits in block-sized
-column slabs.  So peak memory is the state plus O(BLOCK).  Basis convention:
+qubits inside a block, the lowest group as one GEMM over the block's
+rows of 32, and once on the higher qubits in block-sized column slabs.
+Each matmul writes into the other of the block and one scratch block,
+and the phase table is reused across layers, so peak memory is the
+state plus at most three blocks.  Basis convention:
 qubit 1 is the least significant bit of the basis index, so the state for
 bits (b_1..b_n) sits at index sum_l b_l << (l - 1).
 """
@@ -90,15 +93,21 @@ def run_ansatz(model: LinearIsing, params: QaoaParams) -> np.ndarray:
     one constant, so the phase layer exp(-i*gamma*(L+H)) is split in two
     by _energy_split: once per layer it tables exp(-i*gamma*L) and
     exp(-i*gamma*H), and each block is multiplied by the first table and
-    then by its own entry of the second.  Mixing goes five qubits per matmul:
-    inside a block, the low qubits in groups of up to five, each group
-    one np.matmul of rx(2*beta)^(x k) with the block's (-1, 2^k, 2^l)
-    view; then the high qubits as one group, on column slabs of the
-    (2^h, BLOCK) view that hold BLOCK amplitudes each.  So peak memory
-    is the state plus O(BLOCK).  The split phase and BLAS's own order of
-    each group's sums both round differently from one exp per amplitude
-    and a qubit-by-qubit loop, so amplitudes can differ from those in
-    their last bits.
+    then by its own entry of the second; the first table is rebuilt in
+    place each layer.  Mixing goes five qubits per matmul: inside a
+    block, the low qubits in groups of up to five, each group one
+    np.matmul of rx(2*beta)^(x k) with the block's (-1, 2^k, 2^l) view,
+    except the lowest, which is one GEMM of the (-1, 2^k) view with the
+    transposed operator; then the high qubits as one group, on column
+    slabs of the (2^h, BLOCK) view that hold BLOCK amplitudes each.
+    Every matmul writes through out= into the other of the block and one
+    scratch block allocated per call, and the result is copied back into
+    the block only after an odd number of groups.  So peak memory is the
+    state plus at most three blocks, most of them the scratch and the
+    phase table.  The split phase and BLAS's own order of each
+    group's sums both round differently from one exp per amplitude and a
+    qubit-by-qubit loop, so amplitudes can differ from those in their
+    last bits.
     """
     n = model.n
     if n > MAX_QUBITS:
@@ -112,26 +121,37 @@ def run_ansatz(model: LinearIsing, params: QaoaParams) -> np.ndarray:
     low, low_values, high_values = _energy_split(model.coeffs)
     high = n - low  # at most _GROUP, so they form one group
     state = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
+    scratch = np.empty(1 << low, dtype=complex)  # each matmul writes the block or this
+    low_phase = np.empty(1 << low, dtype=complex)
     for gamma, beta in zip(params.gammas, params.betas):
         mixers = _mixers(beta)
         # phase layer exp(-i*gamma*(L+H)): L by index inside a block, H one value per block
-        low_phase = np.exp(-1j * gamma * low_values)
+        np.exp(np.multiply(-1j * gamma, low_values, out=low_phase), out=low_phase)
         high_phase = np.exp(-1j * gamma * high_values)
         for h, phase in enumerate(high_phase):
             block = state[h * BLOCK:(h + 1) * BLOCK]
             block *= low_phase
             block *= phase
-            # mixing layer on the low qubits, a group of up to _GROUP at a time
+            # mixing layer on the low qubits, a group of up to _GROUP at a time;
+            # the lowest group is one GEMM, rows of 2^k amplitudes times mixer^T
+            src, dst = block, scratch
             for l in range(0, low, _GROUP):
                 k = min(_GROUP, low - l)
-                view = block.reshape(-1, 1 << k, 1 << l)
-                view[...] = np.matmul(mixers[k], view)
+                if l == 0:
+                    np.matmul(src.reshape(-1, 1 << k), mixers[k].T, out=dst.reshape(-1, 1 << k))
+                else:
+                    shape = (-1, 1 << k, 1 << l)
+                    np.matmul(mixers[k], src.reshape(shape), out=dst.reshape(shape))
+                src, dst = dst, src
+            if src is scratch:  # an odd number of groups left the result in scratch
+                block[...] = scratch
         if high:  # mixing layer on the high qubits, in slabs of BLOCK amplitudes
             rows = state.reshape(1 << high, BLOCK)  # row: the high qubits' bits
             width = BLOCK >> high
+            out = scratch.reshape(1 << high, width)
             for col in range(0, BLOCK, width):
                 slab = rows[:, col:col + width]
-                slab[...] = mixers[high] @ slab
+                slab[...] = np.matmul(mixers[high], slab, out=out)
     return state
 
 
