@@ -36,35 +36,35 @@ process, and the default portfolio uses at most four.
 pool_map(fn, jobs) runs serially, [fn(*job) for job in jobs], outside a
 pool, at one usable CPU, or with one job.  Otherwise it splits over
 min(usable CPUs, len(jobs)) processes, the caller included, and the
-jobs are pulled, never pushed: the pool's (front, back) counter is set
-to [1, len(jobs)), each worker runs one _drain, which takes the next
-index from the front until the counter is empty, and the caller runs
-job 0, then takes indices from the back (the two-ended scheme of
-Blumofe and Leiserson, J. ACM 46(5), 1999, in its smallest form).  So
-no job waits in a queue, and when the caller finds the counter empty,
-only the jobs the workers are running remain.  Results come back in job
-order.  A job that raises, in the caller or in a worker, empties the
-counter, as does Ctrl-C in the caller, so every worker stops after its
-current job; the map raises once every drain has ended, so the next
-map's counter is its own.  The counter is a shared array, handed to
-each worker as it starts: a lock cannot travel through submit.  While
-the caller runs its share, no pool is open to it, so a map nested in a
-job (the members of a cell's portfolio) runs serially rather than
-queueing behind the cells; a worker process never has a pool.
+jobs are pulled, never pushed: the map makes its own (front, back)
+counter, set to [1, len(jobs)), and its own workers, each running one
+_drain, which takes the next index from the front until the counter is
+empty, and the caller runs job 0, then takes indices from the back (the
+two-ended scheme of Blumofe and Leiserson, J. ACM 46(5), 1999, in its
+smallest form).  So no job waits in a queue, and when the caller finds
+the counter empty, only the jobs the workers are running remain.
+Results come back in job order.  A job that raises, in the caller or in
+a worker, empties the counter, as does Ctrl-C in the caller, so every
+worker stops after its current job; the map reaps its workers before it
+returns or raises.  The counter is a shared array, handed to each
+worker as it starts: a lock cannot travel through submit.  While the
+caller runs its share, no pool is open to it, so a map nested in a job
+(the members of a cell's portfolio) runs serially rather than queueing
+behind the cells; a worker process never has a pool.
 The caller runs whole jobs, not a part of each, so whatever wraps calls
 in the calling process, a profiler or a tracer, sees complete calls: a
 cell run there makes its portfolio_maximize call, and one maximize call
 per method, in this process, and a portfolio split over its members
 makes there the maximize calls it runs itself.
 
-The pool's processes come from the forkserver start method, chosen
-explicitly: they fork from a server process that runs none of our work,
-never from the caller, whose OpenBLAS threads may be busy at the moment
-of a fork, and a fork after OpenBLAS has started its threads can hang
-the child.  Python 3.12 warns on a fork of a multi-threaded process, and
-3.14 no longer forks by default.  The forkserver and multiprocessing's
-resource tracker outlive the pool that started them, until the
-interpreter exits.  The library is serial unless a caller opens a pool.
+The workers come from the forkserver start method, chosen explicitly:
+they fork from a server process that runs none of our work, never from
+the caller, whose OpenBLAS threads may be busy at the moment of a fork,
+and a fork after OpenBLAS has started its threads can hang the child.
+Python 3.12 warns on a fork of a multi-threaded process, and 3.14 no
+longer forks by default.  The forkserver and multiprocessing's resource
+tracker outlive the map that started them, until the interpreter
+exits.  The library is serial unless a caller opens a pool.
 """
 
 from __future__ import annotations
@@ -384,53 +384,8 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Pool:
-    """An open worker_pool: its process count and, once started, its
-    executor and the (front, back) counter of the jobs its workers drain."""
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self.executor = None
-        self.counter = None
-
-    def start(self):
-        """The shared counter, with the executor that hands it to each worker."""
-        if self.executor is None:
-            # imported here: a serial caller never loads the pool machinery
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = multiprocessing.get_context("forkserver")
-            # a SemLock cannot travel through submit, only to a starting process
-            self.counter = context.Array("q", 2)
-            self.executor = ProcessPoolExecutor(
-                self.workers - 1,
-                mp_context=context,
-                initializer=_start_worker,
-                initargs=(self.counter,),
-            )
-        return self.counter
-
-    def submit(self, fn, *args):
-        return self.executor.submit(fn, *args)
-
-    @staticmethod
-    def result(future):
-        """A submitted job's result; a pool whose worker died is refused, naming why."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            return future.result()
-        except BrokenProcessPool as exc:
-            raise QaoaLinearError(
-                "a worker process died before returning its work; every worker "
-                "imports the main module, so a script that runs the optimizer needs "
-                'the `if __name__ == "__main__":` guard'
-            ) from exc
-
-
-_pool: _Pool | None = None  # the innermost open worker_pool
-_counter = None  # in a worker process, its pool's shared counter
+_pool: int | None = None  # the process count of the innermost open worker_pool
+_counter = None  # in a worker process, its map's shared counter
 
 
 def _start_worker(counter):
@@ -479,64 +434,71 @@ def _drain(fn, jobs: list) -> dict:
 def worker_pool():
     """Split the pool_map calls in the block over usable_cpus() processes.
 
-    The calling process is one of them.  A map of k >= 2 jobs uses
-    min(usable_cpus(), k) processes, so at most usable_cpus() - 1 are
-    started, by the forkserver method, as the maps need them; a block
-    that splits nothing starts none.  Results are bit for bit those of
-    the serial path.  On leaving the block, however it is left, the
-    pool's workers are shut down and reaped, each after the job it is
-    running; the forkserver and multiprocessing's resource tracker,
-    started with the first pool, live until the interpreter exits.  The
-    forkserver imports the main module, so a script that opens a pool
-    needs the `if __name__ == "__main__":` guard; without it the pool
-    breaks, and the map raises QaoaLinearError.
+    The calling process is one of them.  A split map of k jobs starts
+    min(usable_cpus(), k) - 1 workers by the forkserver method and reaps
+    them before it returns or raises, each after the job it is running:
+    a block that splits nothing starts none, and one that splits several
+    maps starts workers for each.  Results are bit for bit those of the
+    serial path.  The forkserver imports the main module, so a script
+    that opens a pool needs the `if __name__ == "__main__":` guard;
+    without it the pool breaks, and the map raises QaoaLinearError.
     """
     global _pool
-    pool = _Pool(usable_cpus())
-    outer, _pool = _pool, pool
+    outer, _pool = _pool, usable_cpus()
     try:
         yield
     finally:
         _pool = outer
-        if pool.executor is not None:
-            pool.executor.shutdown(wait=True, cancel_futures=True)
 
 
 def pool_map(fn, jobs: list) -> list:
-    """[fn(*job) for job in jobs], with the jobs shared with the pool's workers.
+    """[fn(*job) for job in jobs], with the jobs shared with the map's workers.
 
     Inside worker_pool, a map of two or more jobs splits over
     min(usable_cpus(), len(jobs)) processes, the caller included, unless
-    it is nested in a job the caller runs.  When the map splits, fn and
-    the jobs must pickle.  An exception from a job propagates wherever
-    it ran, and no job starts after it.  See the module docstring for
-    the order of work.
+    it is nested in a job the caller runs.  A split map starts its own
+    workers and counter, and ends them before it returns or raises.
+    When the map splits, fn and the jobs must pickle.  An exception from
+    a job propagates wherever it ran, and no job starts after it.  See
+    the module docstring for the order of work.
     """
     global _pool
-    pool = _pool
-    processes = 0 if pool is None else min(pool.workers, len(jobs))
+    workers = _pool
+    processes = 0 if workers is None else min(workers, len(jobs))
     if processes < 2:
         return [fn(*job) for job in jobs]
-    counter = pool.start()
-    counter[:] = [1, len(jobs)]  # every drain of an earlier map has ended
-    drains, done = [], {}
+    # imported here: a serial caller never loads the pool machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("forkserver")
+    # a SemLock cannot travel through submit, only to a starting process
+    counter = context.Array("q", [1, len(jobs)])
+    done = {}
     _pool = None  # a map inside the caller's share runs serially
     try:
-        for _ in range(processes - 1):
-            drains.append(pool.submit(_drain, fn, jobs))
-        done[0] = fn(*jobs[0])
-        while (k := _take(counter, back=True)) is not None:
-            done[k] = fn(*jobs[k])
-        for drain in drains:
-            done.update(pool.result(drain))
-    except BaseException:
-        from concurrent.futures import wait
-
-        _empty(counter)
-        wait(drains)  # so that no drain takes from the next map's counter
-        raise
+        with ProcessPoolExecutor(
+            processes - 1, mp_context=context, initializer=_start_worker, initargs=(counter,)
+        ) as executor:
+            try:
+                drains = [executor.submit(_drain, fn, jobs) for _ in range(processes - 1)]
+                done[0] = fn(*jobs[0])
+                while (k := _take(counter, back=True)) is not None:
+                    done[k] = fn(*jobs[k])
+                for drain in drains:
+                    done.update(drain.result())
+            except BaseException:
+                _empty(counter)  # leaving the with waits for each worker's current job
+                raise
+    except BrokenProcessPool as exc:
+        raise QaoaLinearError(
+            "a worker process died before returning its work; every worker "
+            "imports the main module, so a script that runs the optimizer needs "
+            'the `if __name__ == "__main__":` guard'
+        ) from exc
     finally:
-        _pool = pool
+        _pool = workers
     return [done[k] for k in range(len(jobs))]
 
 

@@ -585,7 +585,7 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
     def test_broken_pool_refused(self, capsys, monkeypatch):
-        from concurrent.futures import Future
+        from concurrent.futures import Future, ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         def broken(self, *args):
@@ -594,7 +594,7 @@ class TestWorkers:
             return future
 
         monkeypatch.setattr(optimizers, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(optimizers._Pool, "submit", broken)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", broken)
         code, _, err = run(capsys, "optimize", "--model", "1,2", "--p", "1", "--budget", "100")
         assert code == EXIT_CHECK
         assert err.startswith("refused: a worker process died")

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -142,14 +143,14 @@ class TestCellsInWorkers:
 
     def test_cells_split_and_not_their_restarts(self, monkeypatch):
         submitted = []  # the function each worker's drain runs
-        submit = optimizers._Pool.submit
+        submit = ProcessPoolExecutor.submit
 
         def spy(self, drain, fn, jobs):
             assert drain is optimizers._drain
             submitted.append(fn)
             return submit(self, drain, fn, jobs)
 
-        monkeypatch.setattr(optimizers._Pool, "submit", spy)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
         with worker_pool():
             build_tables(2, 2, LEAN_SPECS)
         assert submitted and set(submitted) == {experiments._best_at_cell}

@@ -8,7 +8,7 @@ import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -335,20 +335,20 @@ class TestWorkerPool:
     input is refused before anything is submitted."""
 
     def test_one_spec_portfolio_starts_no_process(self, monkeypatch, two_cpus):
-        monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", _no_split)
         spec = OptimizerSpec("random-search", budget=100, seed=3, restarts=4)
         with worker_pool():
             portfolio_maximize(LinearIsing((1.0, 2.0)), 1, [spec])
 
     def test_one_usable_cpu_starts_no_process(self, monkeypatch):
         monkeypatch.setattr(optimizers, "usable_cpus", lambda: 1)
-        monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", _no_split)
         specs = default_portfolio(seed=4, budget=100, restarts=2)
         with worker_pool():
             portfolio_maximize(LinearIsing((1.0, 2.0)), 1, specs)
 
     def test_serial_outside_any_pool(self, monkeypatch):
-        monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", _no_split)
         specs = default_portfolio(seed=4, budget=200, restarts=4)
         portfolio_maximize(LinearIsing((1.0, 2.0)), 1, specs)
         assert multiprocessing.active_children() == []
@@ -360,7 +360,7 @@ class TestWorkerPool:
         ids=["p0", "huge-phase"],
     )
     def test_bad_input_refused_before_any_submit(self, monkeypatch, two_cpus, model, p):
-        monkeypatch.setattr(optimizers._Pool, "submit", _no_split)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", _no_split)
         specs = default_portfolio(seed=4, budget=100, restarts=2)
         with worker_pool():
             with pytest.raises(ValueError):
@@ -386,7 +386,7 @@ class TestPoolMap:
             return future
 
         monkeypatch.setattr(optimizers, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(optimizers._Pool, "submit", spy)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
         with worker_pool():
             assert pool_map(math.sqrt, [(4.0,)] * jobs) == [2.0] * jobs
         assert submitted == [optimizers._drain] * drains
@@ -395,6 +395,7 @@ class TestPoolMap:
     def test_results_in_job_order(self, two_cpus):
         with worker_pool():
             assert pool_map(math.sqrt, [(float(k * k),) for k in range(6)]) == list(range(6))
+            assert multiprocessing.active_children() == []
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
@@ -428,6 +429,7 @@ class TestPoolMap:
         with worker_pool():
             with pytest.raises(RuntimeError, match="job 0"):
                 pool_map(_record, [(str(first), k) for k in range(6)])
+            assert multiprocessing.active_children() == []
             assert pool_map(_record, [(str(second), k) for k in range(1, 5)]) == [None] * 4
         assert sorted(int(path.name) for path in first.iterdir()) == [0, 1]
         assert sorted(int(path.name) for path in second.iterdir()) == [1, 2, 3, 4]

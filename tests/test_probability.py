@@ -106,6 +106,49 @@ class TestProbOpt:
             ) <= 1e-12
 
 
+def _angle_images(params, j):
+    """A schedule's images under the landscape's two angle symmetries.
+
+    S1 at layer j: beta_j + pi/2 together with -gamma_1..-gamma_j, since
+    rx(2*beta + pi) = -iX rx(2*beta), X rz(t) = rz(-t) X and X|+> = |+>.
+    S2: (gamma, beta) -> (-gamma, -beta), since |+> is real and both
+    rotations conjugate under a sign flip of their angle.
+    """
+    gammas, betas = params.gammas, params.betas
+    return (
+        QaoaParams(
+            tuple(-g for g in gammas[: j + 1]) + gammas[j + 1 :],
+            betas[:j] + (betas[j] + math.pi / 2,) + betas[j + 1 :],
+        ),
+        QaoaParams(tuple(-g for g in gammas), tuple(-b for b in betas)),
+    )
+
+
+class TestAngleSymmetries:
+    """P is unchanged by S1 at every layer and by S2, on random signed models."""
+
+    def test_prob_opt(self):
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            model, params = _random_model(rng, max_n=12), _random_params(rng, max_p=5)
+            value = prob_opt(model, params)
+            for j in range(params.p):
+                for image in _angle_images(params, j):
+                    assert abs(prob_opt(model, image) - value) <= 1e-12
+
+    def test_dense_run_ansatz(self):
+        # S1 changes the state by a global phase and S2 conjugates it, so
+        # every outcome's probability is unchanged, not only the optimum's
+        rng = np.random.default_rng(59)
+        for _ in range(30):
+            model, params = _random_model(rng, max_n=10), _random_params(rng, max_p=5)
+            probs = np.abs(run_ansatz(model, params)) ** 2
+            for j in range(params.p):
+                for image in _angle_images(params, j):
+                    image_probs = np.abs(run_ansatz(model, image)) ** 2
+                    assert np.max(np.abs(image_probs - probs)) <= 1e-10
+
+
 class TestBatchKernel:
     def test_matches_scalar(self):
         rng = np.random.default_rng(43)
