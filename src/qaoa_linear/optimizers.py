@@ -72,11 +72,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 import os
 import signal
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from numbers import Integral
 
 import numpy as np
@@ -198,51 +199,88 @@ def _make_rng(seed: int, method_id: int, restart: int) -> np.random.Generator:
     return philox(seed, (method_id << 32) | restart)
 
 
+def _nm_order(vals):
+    """The indices of vals best first, in np.argsort(-np.array(vals))'s order.
+
+    Distinct values that are not NaN have one such order, and Python's
+    sort finds it.  A tie (0.0 beside -0.0 is one) or a NaN leaves the
+    order to numpy's sort, which is not stable, so numpy is asked.
+    """
+    order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+    ranked = [vals[i] for i in order]
+    if all(map(operator.gt, ranked, ranked[1:])):
+        return order
+    return np.argsort(-np.array(vals)).tolist()
+
+
 def _nelder_mead(rng, hi):
     """Downhill simplex (maximizing), restarted on collapse.
 
-    An endless generator: yields each point to score and receives its
-    value.  The caller stops it after its budget.
+    An endless generator: yields each point to score, as a list, and
+    receives its value.  The caller stops it after its budget.
+
+    The simplex is a list of vertex lists on Python floats, kept best
+    first in the order np.argsort(-vals) gives, so every point is the
+    one the same steps on numpy arrays make, bit for bit.  While the
+    values are distinct and not NaN, the new vertex that replaces the
+    worst is placed by a scan; after a tie or a NaN, and after a start
+    or a shrink, _nm_order ranks the whole simplex, through numpy's
+    argsort on ties or NaN.
     """
     dim = hi.size
     refl, expa, contr, shrink = _NM_COEFFS
     while True:
-        x0 = rng.uniform(0.0, hi)
-        verts = x0 + np.vstack((np.zeros(dim), _NM_EDGE * np.eye(dim)))
-        vals = np.empty(dim + 1)
-        for i in range(dim + 1):
-            vals[i] = yield verts[i]
+        x0 = rng.uniform(0.0, hi).tolist()  # never -0.0, so x0 + 0.0 is x0
+        verts = [x0] + [x0[:i] + [x0[i] + _NM_EDGE] + x0[i + 1:] for i in range(dim)]
+        vals = []
+        for vert in verts:
+            vals.append((yield vert))
+        in_order = False  # best first, with distinct values that are not NaN
         while True:
-            order = np.argsort(-vals)
-            verts = verts[order]
-            vals = vals[order]
-            if np.abs(verts - verts[0]).max() < _NM_COLLAPSE:
+            if not in_order:
+                order = _nm_order(vals)
+                verts = [verts[i] for i in order]
+                vals = [vals[i] for i in order]
+                in_order = all(map(operator.gt, vals, vals[1:]))
+            best = verts[0]
+            if all(abs(a - b) < _NM_COLLAPSE for vert in verts[1:] for a, b in zip(vert, best)):
                 break  # collapsed: reseed a fresh simplex
-            centroid = np.add.reduce(verts[:-1], axis=0) / dim  # = .mean(axis=0), same bits
-            span = centroid - verts[-1]
-            xr = centroid + refl * span
+            # reduce(add) sums left to right as np.add.reduce does; sum() compensates from 3.12
+            centroid = [reduce(operator.add, col) / dim for col in zip(*verts[:-1])]
+            span = [c - w for c, w in zip(centroid, verts[-1])]
+            xr = [c + refl * s for c, s in zip(centroid, span)]
             fr = yield xr
             if fr > vals[0]:
-                xe = centroid + expa * span
+                xe = [c + expa * s for c, s in zip(centroid, span)]
                 fe = yield xe
-                if fe > fr:
-                    verts[-1], vals[-1] = xe, fe
-                else:
-                    verts[-1], vals[-1] = xr, fr
+                x, fx = (xe, fe) if fe > fr else (xr, fr)
             elif fr > vals[-2]:
-                verts[-1], vals[-1] = xr, fr
+                x, fx = xr, fr
             else:
                 if fr > vals[-1]:
-                    xc = centroid + contr * refl * span
+                    xc = [c + contr * refl * s for c, s in zip(centroid, span)]
                 else:
-                    xc = centroid - contr * span
+                    xc = [c - contr * s for c, s in zip(centroid, span)]
                 fc = yield xc
                 if fc > max(fr, vals[-1]):
-                    verts[-1], vals[-1] = xc, fc
+                    x, fx = xc, fc
                 else:
-                    verts[1:] = verts[0] + shrink * (verts[1:] - verts[0])
+                    verts[1:] = [[a + shrink * (b - a) for a, b in zip(best, v)] for v in verts[1:]]
                     for i in range(1, dim + 1):
                         vals[i] = yield verts[i]
+                    in_order = False
+                    continue
+            # the new vertex replaces the worst: scan up for its place
+            i = dim
+            while i and fx > vals[i - 1]:
+                i -= 1
+            if in_order and (i == 0 or fx < vals[i - 1]):
+                del verts[-1], vals[-1]
+                verts.insert(i, x)
+                vals.insert(i, fx)
+            else:
+                verts[-1], vals[-1] = x, fx
+                in_order = False
 
 
 def _simulated_annealing(rng, hi):

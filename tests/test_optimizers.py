@@ -18,11 +18,18 @@ from qaoa_linear import optimizers
 from qaoa_linear.errors import ResourceLimitError
 from qaoa_linear.ising import LinearIsing, consecutive
 from qaoa_linear.optimizers import (
+    _NM_COEFFS,
+    _NM_COLLAPSE,
+    _NM_EDGE,
     MAX_RESTARTS,
     METHODS,
     OptimizerSpec,
+    _box,
     _de_draws,
     _make_rng,
+    _nelder_mead,
+    _nm_order,
+    _run_lockstep,
     default_portfolio,
     gamma_period,
     maximize,
@@ -328,6 +335,104 @@ class TestGoldenTrajectories:
             (2.3561944874909324,),
         )
         assert result.evaluations_used == 16000
+
+
+def _array_nelder_mead(rng, hi):
+    """The array form of optimizers._nelder_mead, kept as its reference.
+
+    An endless generator: yields each point to score and receives its
+    value.  The caller stops it after its budget.
+    """
+    dim = hi.size
+    refl, expa, contr, shrink = _NM_COEFFS
+    while True:
+        x0 = rng.uniform(0.0, hi)
+        verts = x0 + np.vstack((np.zeros(dim), _NM_EDGE * np.eye(dim)))
+        vals = np.empty(dim + 1)
+        for i in range(dim + 1):
+            vals[i] = yield verts[i]
+        while True:
+            order = np.argsort(-vals)
+            verts = verts[order]
+            vals = vals[order]
+            if np.abs(verts - verts[0]).max() < _NM_COLLAPSE:
+                break  # collapsed: reseed a fresh simplex
+            centroid = np.add.reduce(verts[:-1], axis=0) / dim  # = .mean(axis=0), same bits
+            span = centroid - verts[-1]
+            xr = centroid + refl * span
+            fr = yield xr
+            if fr > vals[0]:
+                xe = centroid + expa * span
+                fe = yield xe
+                if fe > fr:
+                    verts[-1], vals[-1] = xe, fe
+                else:
+                    verts[-1], vals[-1] = xr, fr
+            elif fr > vals[-2]:
+                verts[-1], vals[-1] = xr, fr
+            else:
+                if fr > vals[-1]:
+                    xc = centroid + contr * refl * span
+                else:
+                    xc = centroid - contr * span
+                fc = yield xc
+                if fc > max(fr, vals[-1]):
+                    verts[-1], vals[-1] = xc, fc
+                else:
+                    verts[1:] = verts[0] + shrink * (verts[1:] - verts[0])
+                    for i in range(1, dim + 1):
+                        vals[i] = yield verts[i]
+
+
+class TestNelderMeadReference:
+    """The list form of Nelder-Mead scores the same points as the array
+    form, bit for bit, through ties, NaN values, collapses and shrinks."""
+
+    # (1,)*4 ties often, (1,) collapses well inside 1200 steps, (5e307, 3)
+    # reflects to points that score NaN, and sqrt(2) has no gamma period
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(1.0,) * 4, (1.0,), (5e307, 3.0), (math.sqrt(2), 1.0)],
+        ids=["ties", "one", "nan", "irrational"],
+    )
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    @pytest.mark.parametrize("restarts", [1, 3, 8])
+    def test_same_bits_as_the_array_form(self, coeffs, p, restarts):
+        model = LinearIsing(coeffs)
+        hi = _box(model, p)
+        kernel = qubit_kernel(model)
+
+        def run(method, budget):
+            scored = []
+
+            def objective(xs):
+                scored.append(xs)
+                return np.multiply.reduce(kernel(xs[:, :p], xs[:, p:]), axis=0)
+
+            rngs = [_make_rng(restarts, 0, r) for r in range(restarts)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                values, points = _run_lockstep(method, objective, rngs, hi, budget)
+            return values.tobytes(), points.tobytes(), np.vstack(scored).tobytes()
+
+        # budgets that cut the start simplex, a step or a shrink partway
+        for budget in (1, 2, 7, 12, 116, 333, 1200):
+            assert run(_nelder_mead, budget) == run(_array_nelder_mead, budget), budget
+
+    def test_order_is_numpys_argsort(self):
+        # distinct values, forced ties, 0.0 beside -0.0, and NaN
+        rng = np.random.default_rng(14)
+        for trial in range(3000):
+            n = int(rng.integers(2, 12))
+            if trial % 4 == 0:
+                vals = rng.random(n)
+            elif trial % 4 == 1:
+                vals = rng.choice([0.25, 0.5, 1.0], n)
+            elif trial % 4 == 2:
+                vals = rng.choice([0.0, -0.0, 0.5, -0.5], n)
+            else:
+                vals = np.where(rng.random(n) < 0.3, math.nan, rng.random(n))
+            vals = vals.tolist()
+            assert _nm_order(vals) == np.argsort(-np.array(vals)).tolist(), vals
 
 
 class TestWorkerPool:
