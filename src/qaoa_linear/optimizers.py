@@ -199,20 +199,6 @@ def _make_rng(seed: int, method_id: int, restart: int) -> np.random.Generator:
     return philox(seed, (method_id << 32) | restart)
 
 
-def _nm_order(vals):
-    """The indices of vals best first, in np.argsort(-np.array(vals))'s order.
-
-    Distinct values that are not NaN have one such order, and Python's
-    sort finds it.  A tie (0.0 beside -0.0 is one) or a NaN leaves the
-    order to numpy's sort, which is not stable, so numpy is asked.
-    """
-    order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
-    ranked = [vals[i] for i in order]
-    if all(map(operator.gt, ranked, ranked[1:])):
-        return order
-    return np.argsort(-np.array(vals)).tolist()
-
-
 def _nelder_mead(rng, hi):
     """Downhill simplex (maximizing), restarted on collapse.
 
@@ -222,10 +208,10 @@ def _nelder_mead(rng, hi):
     The simplex is a list of vertex lists on Python floats, kept best
     first in the order np.argsort(-vals) gives, so every point is the
     one the same steps on numpy arrays make, bit for bit.  While the
-    values are distinct and not NaN, the new vertex that replaces the
-    worst is placed by a scan; after a tie or a NaN, and after a start
-    or a shrink, _nm_order ranks the whole simplex, through numpy's
-    argsort on ties or NaN.
+    values are distinct and not NaN, that order is unique and the new
+    vertex that replaces the worst is placed by a scan; after a start,
+    a shrink, a tie or a NaN, numpy's argsort ranks the whole simplex,
+    so its unstable tie order is kept.
     """
     dim = hi.size
     refl, expa, contr, shrink = _NM_COEFFS
@@ -238,7 +224,7 @@ def _nelder_mead(rng, hi):
         in_order = False  # best first, with distinct values that are not NaN
         while True:
             if not in_order:
-                order = _nm_order(vals)
+                order = np.argsort(-np.array(vals)).tolist()
                 verts = [verts[i] for i in order]
                 vals = [vals[i] for i in order]
                 in_order = all(map(operator.gt, vals, vals[1:]))
