@@ -199,6 +199,18 @@ def _make_rng(seed: int, method_id: int, restart: int) -> np.random.Generator:
     return philox(seed, (method_id << 32) | restart)
 
 
+def _place(verts, vals, x, fx):
+    """Insert vertex x, of value fx, after every vertex whose value is at
+    least fx; a NaN goes last.  Placed one at a time, the vertices stand
+    in the order np.argsort(-vals, kind="stable") gives."""
+    i = len(vals)
+    if fx == fx:  # not NaN
+        while i and not vals[i - 1] >= fx:
+            i -= 1
+    verts.insert(i, x)
+    vals.insert(i, fx)
+
+
 def _nelder_mead(rng, hi):
     """Downhill simplex (maximizing), restarted on collapse.
 
@@ -206,28 +218,19 @@ def _nelder_mead(rng, hi):
     receives its value.  The caller stops it after its budget.
 
     The simplex is a list of vertex lists on Python floats, kept best
-    first in the order np.argsort(-vals) gives, so every point is the
-    one the same steps on numpy arrays make, bit for bit.  While the
-    values are distinct and not NaN, that order is unique and the new
-    vertex that replaces the worst is placed by a scan; after a start,
-    a shrink, a tie or a NaN, numpy's argsort ranks the whole simplex,
-    so its unstable tie order is kept.
+    first by _place, one tie rule for every vertex (Lagarias et al.,
+    SIAM J. Optim. 9, 112 (1998)): a new vertex goes after the vertices
+    of equal value, so a shrink keeps the best ahead of its ties, and a
+    NaN goes last.
     """
     dim = hi.size
     refl, expa, contr, shrink = _NM_COEFFS
     while True:
         x0 = rng.uniform(0.0, hi).tolist()  # never -0.0, so x0 + 0.0 is x0
-        verts = [x0] + [x0[:i] + [x0[i] + _NM_EDGE] + x0[i + 1:] for i in range(dim)]
-        vals = []
-        for vert in verts:
-            vals.append((yield vert))
-        in_order = False  # best first, with distinct values that are not NaN
+        verts, vals = [], []
+        for x in [x0] + [x0[:i] + [x0[i] + _NM_EDGE] + x0[i + 1:] for i in range(dim)]:
+            _place(verts, vals, x, (yield x))
         while True:
-            if not in_order:
-                order = np.argsort(-np.array(vals)).tolist()
-                verts = [verts[i] for i in order]
-                vals = [vals[i] for i in order]
-                in_order = all(map(operator.gt, vals, vals[1:]))
             best = verts[0]
             if all(abs(a - b) < _NM_COLLAPSE for vert in verts[1:] for a, b in zip(vert, best)):
                 break  # collapsed: reseed a fresh simplex
@@ -251,22 +254,13 @@ def _nelder_mead(rng, hi):
                 if fc > max(fr, vals[-1]):
                     x, fx = xc, fc
                 else:
-                    verts[1:] = [[a + shrink * (b - a) for a, b in zip(best, v)] for v in verts[1:]]
-                    for i in range(1, dim + 1):
-                        vals[i] = yield verts[i]
-                    in_order = False
+                    shrunk = [[a + shrink * (b - a) for a, b in zip(best, v)] for v in verts[1:]]
+                    del verts[1:], vals[1:]
+                    for x in shrunk:
+                        _place(verts, vals, x, (yield x))
                     continue
-            # the new vertex replaces the worst: scan up for its place
-            i = dim
-            while i and fx > vals[i - 1]:
-                i -= 1
-            if in_order and (i == 0 or fx < vals[i - 1]):
-                del verts[-1], vals[-1]
-                verts.insert(i, x)
-                vals.insert(i, fx)
-            else:
-                verts[-1], vals[-1] = x, fx
-                in_order = False
+            del verts[-1], vals[-1]  # the new vertex replaces the worst
+            _place(verts, vals, x, fx)
 
 
 def _simulated_annealing(rng, hi):

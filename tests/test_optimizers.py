@@ -28,6 +28,7 @@ from qaoa_linear.optimizers import (
     _de_draws,
     _make_rng,
     _nelder_mead,
+    _place,
     _run_lockstep,
     default_portfolio,
     gamma_period,
@@ -351,7 +352,7 @@ def _array_nelder_mead(rng, hi):
         for i in range(dim + 1):
             vals[i] = yield verts[i]
         while True:
-            order = np.argsort(-vals)
+            order = np.argsort(-vals, kind="stable")
             verts = verts[order]
             vals = vals[order]
             if np.abs(verts - verts[0]).max() < _NM_COLLAPSE:
@@ -385,7 +386,8 @@ def _array_nelder_mead(rng, hi):
 
 class TestNelderMeadReference:
     """The list form of Nelder-Mead scores the same points as the array
-    form, bit for bit, through ties, NaN values, collapses and shrinks."""
+    form ranked by a stable sort, bit for bit, through ties, NaN values,
+    collapses and shrinks."""
 
     # (1,)*4 ties often, (1,) collapses well inside 1200 steps, (5e307, 3)
     # reflects to points that score NaN, and sqrt(2) has no gamma period
@@ -416,6 +418,30 @@ class TestNelderMeadReference:
         # a shorter budget only stops sending, so its scored rows are a
         # prefix of these, and its best values come from the same rows
         assert run(_nelder_mead) == run(_array_nelder_mead)
+
+    def test_place_gives_the_stable_order(self):
+        # ties, 0.0 beside -0.0 and NaN, placed one at a time; the vertex
+        # is its arrival index, so the order of equal values is checked too
+        pool = [0.0, -0.0, math.nan, 1.0, 0.5, -1.0, math.inf, -math.inf]
+        rng = np.random.default_rng(34)
+        for _ in range(500):
+            arrivals = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 12))]
+            verts, vals = [], []
+            for k, fx in enumerate(arrivals):
+                _place(verts, vals, k, fx)
+            order = np.argsort(-np.array(arrivals), kind="stable").tolist()
+            assert verts == order, arrivals
+            assert np.array(vals).tobytes() == np.array(arrivals)[order].tobytes()
+
+    @pytest.mark.parametrize("coeffs", [(1.0,) * 4, (5e307, 3.0)], ids=["ties", "nan"])
+    def test_nelder_mead_never_calls_numpys_sort(self, monkeypatch, coeffs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Nelder-Mead called a numpy sort")
+
+        monkeypatch.setattr(np, "argsort", refuse)
+        monkeypatch.setattr(np, "sort", refuse)
+        spec = OptimizerSpec("nelder-mead", budget=1200, seed=3, restarts=3)
+        assert maximize(LinearIsing(coeffs), 2, spec).evaluations_used == 3600
 
 
 class TestWorkerPool:
